@@ -1,0 +1,492 @@
+"""Command-line front end: simulate, density, verify, converge.
+
+Every subcommand shares one flag set (defect phase, initial spinor, steps,
+bins, tolerance, output format and path) and emits either CSV (UTF-8, LF,
+17-significant-digit floats, bit-stable across runs) or a JSON object with
+``config``, ``metadata`` and ``rows`` keys.  Validation failures exit with
+status 2; a failed verification exits with status 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import sys
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import limit, spectral, walk
+from .quadrature import SUPPORT_RADIUS, QuadratureConvergenceError, integrate_ac
+
+__all__ = ["RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
+
+ENV_MAX_STEPS = "WOJCIK_MAX_STEPS"
+ATOM_WINDOW = 0.05
+
+_NORMALIZE_WARN = 1e-9
+_NORMALIZE_REJECT = 1e-6
+
+
+@dataclass
+class RunConfig:
+    """Validated parameters of one CLI invocation."""
+
+    command: str
+    phi: float
+    init: tuple[float, float, float, float]  # a, phi1, b, phi2
+    steps: int
+    output_format: str
+    output_path: str | None
+    bins: int
+    tolerance: float
+    max_steps: int
+
+    def walk_params(self) -> walk.WalkParams:
+        a, phi1, b, phi2 = self.init
+        return walk.WalkParams(phi=self.phi, a=a, b=b, phi1=phi1, phi2=phi2)
+
+    def init_angles(self) -> limit.InitialStateAngles:
+        a, phi1, b, phi2 = self.init
+        return limit.InitialStateAngles.from_phases(a, phi1, b, phi2)
+
+    def echo(self) -> dict:
+        a, phi1, b, phi2 = self.init
+        return {
+            "command": self.command,
+            "phi": self.phi,
+            "init": {"a": a, "phi1": phi1, "b": b, "phi2": phi2},
+            "steps": self.steps,
+            "bins": self.bins,
+            "tolerance": self.tolerance,
+            "format": self.output_format,
+            "out": self.output_path,
+        }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wojcikwalk",
+        description=(
+            "Defect-coin quantum walk: exact simulation and analytic limit "
+            "densities (atom + continuous part), with built-in cross checks."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    specs = {
+        "simulate": "evolve the walk and emit the rescaled distribution (x/t, t*P, density)",
+        "density": "tabulate the analytic continuous density on a grid",
+        "verify": "run internal consistency checks and report pass/fail",
+        "converge": "compare binned empirical mass against the analytic density",
+    }
+    step_defaults = {"simulate": 100, "density": 0, "verify": 8, "converge": 10000}
+    bin_defaults = {"simulate": 40, "density": 200, "verify": 40, "converge": 71}
+
+    for name, help_text in specs.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--phi", type=float, default=0.5, help="defect phase in [0,1), units of full turns")
+        p.add_argument(
+            "--init",
+            default="1,0,0,0",
+            metavar="a,phi1,b,phi2",
+            help="initial spinor [a*e^(i*phi1), b*e^(i*phi2)], default 1,0,0,0",
+        )
+        p.add_argument("--steps", type=int, default=step_defaults[name], help="number of walk steps t")
+        p.add_argument("--bins", type=int, default=bin_defaults[name], help="grid/bin count")
+        p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    return parser
+
+
+def _read_step_cap(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get(ENV_MAX_STEPS)
+    if raw is None:
+        return walk.DEFAULT_MAX_STEPS
+    try:
+        cap = int(raw)
+    except ValueError:
+        parser.error(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}")
+    if cap < 1:
+        parser.error(f"{ENV_MAX_STEPS} must be positive, got {cap}")
+    return cap
+
+
+def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, float, float, float]:
+    parts = text.split(",")
+    if len(parts) != 4:
+        parser.error(f"--init needs four comma-separated numbers a,phi1,b,phi2, got {text!r}")
+    try:
+        a, phi1, b, phi2 = (float(p) for p in parts)
+    except ValueError:
+        parser.error(f"--init components must be numeric, got {text!r}")
+    if a < 0.0 or b < 0.0:
+        parser.error("--init moduli a and b must be nonnegative")
+    deviation = abs(a * a + b * b - 1.0)
+    if deviation > _NORMALIZE_REJECT:
+        parser.error(
+            f"--init is not normalized: a^2 + b^2 deviates from 1 by {deviation:g} "
+            f"(rejection threshold {_NORMALIZE_REJECT:g})"
+        )
+    if deviation > _NORMALIZE_WARN:
+        norm = math.sqrt(a * a + b * b)
+        a, b = a / norm, b / norm
+        warnings.warn(
+            f"--init off normalization by {deviation:g}; renormalizing", stacklevel=2
+        )
+    return a, phi1, b, phi2
+
+
+def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    if not (0.0 <= args.phi < 1.0):
+        parser.error(f"--phi must lie in [0, 1), got {args.phi}")
+    init = _parse_init(args.init, parser)
+    if args.steps < 0:
+        parser.error(f"--steps must be nonnegative, got {args.steps}")
+    if args.command in ("simulate", "converge") and args.steps < 1:
+        parser.error(f"{args.command} needs --steps >= 1 (rescaling by 1/t)")
+    cap = _read_step_cap(parser)
+    if args.steps > cap:
+        parser.error(f"--steps {args.steps} exceeds the step cap {cap} ({ENV_MAX_STEPS})")
+    if args.bins < 2:
+        parser.error(f"--bins must be at least 2, got {args.bins}")
+    if not (0.0 < args.tol <= 1e-2):
+        parser.error(f"--tol must lie in (0, 1e-2], got {args.tol}")
+    return RunConfig(
+        command=args.command,
+        phi=args.phi,
+        init=init,
+        steps=args.steps,
+        output_format=args.output_format,
+        output_path=args.out,
+        bins=args.bins,
+        tolerance=args.tol,
+        max_steps=cap,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Output helpers
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _rows_checksum(rows: list[tuple]) -> str:
+    payload = "\n".join(",".join(_fmt(float(v)) for v in row) for row in rows)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _emit(text: str, path: str | None) -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def _emit_csv(
+    config: RunConfig,
+    header: str,
+    rows: list[tuple],
+    meta_lines: list[str] | None = None,
+) -> None:
+    lines = []
+    if meta_lines:
+        lines.extend(f"# {line}" for line in meta_lines)
+    lines.append(header)
+    lines.extend(",".join(_fmt(float(v)) for v in row) for row in rows)
+    _emit("\n".join(lines) + "\n", config.output_path)
+
+
+def _emit_json(config: RunConfig, metadata: dict, rows: list, columns: list[str]) -> None:
+    payload = {
+        "config": config.echo(),
+        "metadata": {**metadata, "columns": columns},
+        "rows": rows,
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
+
+
+def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]:
+    """Coefficients, continuous integral and atom for the config, shared by commands."""
+    coeffs = limit.weight_coefficients(config.phi, config.init_angles())
+    result = integrate_ac(lambda x: limit.ac_density(x, coeffs), config.tolerance)
+    atom = limit.atom_mass(coeffs, config.tolerance)
+    return coeffs, result.value, atom
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_simulate(config: RunConfig) -> int:
+    """Rescaled empirical distribution next to the analytic density."""
+    params = config.walk_params()
+    t = config.steps
+    state = walk.evolve(params, t, config.max_steps)
+    dist = walk.distribution(state)
+    coeffs, integral, atom = _measure(config)
+    rows = []
+    for x in range(-t, t + 1, 2):  # sites of the populated parity class
+        ratio = x / t
+        rows.append((ratio, t * dist.probability_at(x), limit.ac_density(ratio, coeffs)))
+    checksum = _rows_checksum(rows)
+    if config.output_format == "csv":
+        _emit_csv(config, "x_over_t,scaled_prob,density", rows)
+    else:
+        metadata = {"C": atom, "integral": integral, "checksum": checksum, "rows": len(rows)}
+        _emit_json(config, metadata, [list(r) for r in rows], ["x_over_t", "scaled_prob", "density"])
+    return 0
+
+
+def cmd_density(config: RunConfig) -> int:
+    """Analytic weight, base density and their product on a uniform grid."""
+    coeffs, integral, atom = _measure(config)
+    bins = config.bins
+    width = 2.0 * SUPPORT_RADIUS / bins
+    rows = []
+    for i in range(bins):
+        x = -SUPPORT_RADIUS + (i + 0.5) * width
+        rows.append(
+            (x, limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS), limit.ac_density(x, coeffs))
+        )
+    checksum = _rows_checksum(rows)
+    meta_pairs = [
+        ("C", atom),
+        ("integral", integral),
+        ("total", atom + integral),
+    ]
+    if config.output_format == "csv":
+        meta_lines = [f"{k}={_fmt(v)}" for k, v in meta_pairs] + [f"checksum={checksum}"]
+        _emit_csv(config, "x,w,f_K,density", rows, meta_lines)
+    else:
+        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
+        _emit_json(config, metadata, [list(r) for r in rows], ["x", "w", "f_K", "density"])
+    return 0
+
+
+def _verify_checks(config: RunConfig) -> list[dict]:
+    angles = config.init_angles()
+    coeffs = limit.weight_coefficients(config.phi, angles)
+    checks: list[dict] = []
+
+    # (i) closed-form reduction, when this configuration is a reference case
+    case_id = limit.match_fixture(config.phi, angles)
+    if case_id is None:
+        checks.append(
+            {
+                "name": "fixture_reduction",
+                "status": "skipped",
+                "detail": "configuration matches no reference case",
+            }
+        )
+    else:
+        closed = limit.example_fixture(case_id)
+        grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 1000)
+        worst = max(abs(limit.weight(float(x), coeffs) - closed(float(x))) for x in grid)
+        ok = worst <= 1e-12
+        checks.append(
+            {
+                "name": "fixture_reduction",
+                "status": "pass" if ok else "fail",
+                "detail": f"case {case_id}: max |w - closed form| = {worst:.3e} (tol 1e-12)",
+            }
+        )
+
+    # (ii) atom plus continuous integral is a probability decomposition
+    tol = max(config.tolerance, 1e-10)
+    result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
+    atom_raw = 1.0 - result.value
+    atom = limit.atom_mass(coeffs, tol)
+    budget = max(1e-8, config.tolerance)
+    problems = []
+    if abs(atom + result.value - 1.0) > budget:
+        problems.append(f"C + integral = {atom + result.value!r}")
+    if not (-budget <= atom_raw <= 1.0 + budget):
+        problems.append(f"raw atom {atom_raw!r} outside [0, 1]")
+    if case_id is not None:
+        ref = limit.fixture(case_id)
+        if abs(atom - ref.atom) > budget:
+            problems.append(f"atom {atom!r} != reference {ref.atom!r}")
+        if abs(result.value - ref.ac_integral) > budget:
+            problems.append(f"integral {result.value!r} != reference {ref.ac_integral!r}")
+    checks.append(
+        {
+            "name": "mass_decomposition",
+            "status": "pass" if not problems else "fail",
+            "detail": "; ".join(problems) if problems else (
+                f"C = {atom:.12g}, integral = {result.value:.12g}, sum = {atom + result.value:.12g}"
+            ),
+        }
+    )
+
+    # (iii) residue route agrees with the closed-form weight pointwise
+    grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
+    worst = max(
+        abs(spectral.weight_from_residues(float(x), config.phi, angles) - limit.weight(float(x), coeffs))
+        for x in grid
+        if abs(x) > 1e-3
+    )
+    ok = worst <= 1e-9
+    checks.append(
+        {
+            "name": "spectral_oracle",
+            "status": "pass" if ok else "fail",
+            "detail": f"max |w_residues - w| = {worst:.3e} (tol 1e-9)",
+        }
+    )
+
+    # (iv) fast evolution equals the exhaustive path sum at small t
+    params = config.walk_params()
+    t_small = max(2, min(config.steps, 12))
+    fast = walk.evolve(params, t_small, config.max_steps)
+    brute = walk.path_sum_field(params, t_small)
+    diff = float(np.max(np.abs(fast.amplitudes - brute.amplitudes)))
+    ok = diff <= 1e-12
+    checks.append(
+        {
+            "name": "path_sum",
+            "status": "pass" if ok else "fail",
+            "detail": f"t = {t_small}: max amplitude difference = {diff:.3e} (tol 1e-12)",
+        }
+    )
+    return checks
+
+
+def cmd_verify(config: RunConfig) -> int:
+    """Internal consistency checks; nonzero exit if any check fails."""
+    checks = _verify_checks(config)
+    failed = [c for c in checks if c["status"] == "fail"]
+    if config.output_format == "json":
+        payload = {
+            "config": config.echo(),
+            "metadata": {"passed": not failed, "checks": len(checks), "failed": len(failed)},
+            "rows": checks,
+        }
+        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
+    else:
+        lines = [
+            f"{check['status'].upper():7s} {check['name']}: {check['detail']}"
+            for check in checks
+        ]
+        verdict = "OK" if not failed else f"{len(failed)} CHECK(S) FAILED"
+        lines.append(verdict)
+        _emit("\n".join(lines) + "\n", config.output_path)
+    return 0 if not failed else 1
+
+
+def cmd_converge(config: RunConfig) -> int:
+    """Binned rescaled empirical mass against the analytic bin integrals.
+
+    Bins intersecting the atom window |x/t| <= 0.05 are excluded from the
+    deviation score, since the localized mass collapses toward 0 in the
+    rescaled space and never matches the continuous density.
+    """
+    params = config.walk_params()
+    t = config.steps
+    state = walk.evolve(params, t, config.max_steps)
+    dist = walk.distribution(state)
+    coeffs, integral, atom = _measure(config)
+
+    bins = config.bins
+    edges = np.linspace(-SUPPORT_RADIUS, SUPPORT_RADIUS, bins + 1)
+    width = 2.0 * SUPPORT_RADIUS / bins
+
+    ratios = dist.support / t
+    inside = (ratios > -SUPPORT_RADIUS) & (ratios < SUPPORT_RADIUS)
+    which = np.clip(((ratios[inside] + SUPPORT_RADIUS) / width).astype(int), 0, bins - 1)
+    empirical = np.bincount(which, weights=dist.prob[inside], minlength=bins)
+
+    rows = []
+    total_dev = 0.0
+    kept = 0
+    for i in range(bins):
+        lo, hi = float(edges[i]), float(edges[i + 1])
+        if lo <= ATOM_WINDOW and hi >= -ATOM_WINDOW:
+            continue  # intersects the atom window
+        expected = integrate_ac(
+            lambda x: limit.ac_density(x, coeffs), min(config.tolerance, 1e-9), lo=lo, hi=hi
+        ).value
+        dev = abs(float(empirical[i]) - expected)
+        total_dev += dev
+        kept += 1
+        rows.append(
+            (
+                lo,
+                hi,
+                0.5 * (lo + hi),
+                float(empirical[i]),
+                expected,
+                dev,
+                float(empirical[i]) / width,
+                expected / width,
+            )
+        )
+    checksum = _rows_checksum(rows)
+    header = "bin_lo,bin_hi,bin_mid,empirical_mass,expected_mass,abs_dev,empirical_density,expected_density"
+    meta_pairs = [
+        ("steps", float(t)),
+        ("bins", float(bins)),
+        ("kept_bins", float(kept)),
+        ("atom_window", ATOM_WINDOW),
+        ("total_abs_deviation", total_dev),
+        ("C", atom),
+        ("integral", integral),
+    ]
+    if config.output_format == "csv":
+        meta_lines = [f"{k}={_fmt(v)}" for k, v in meta_pairs] + [f"checksum={checksum}"]
+        _emit_csv(config, header, rows, meta_lines)
+    else:
+        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
+        _emit_json(config, metadata, [list(r) for r in rows], header.split(","))
+    print(
+        f"converge: t={t} total_abs_deviation={total_dev:.6g} "
+        f"over {kept} bins (atom window |x/t| <= {ATOM_WINDOW} excluded)",
+        file=sys.stderr,
+    )
+    return 0
+
+
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "density": cmd_density,
+    "verify": cmd_verify,
+    "converge": cmd_converge,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    config = _build_config(args, parser)
+    try:
+        return _COMMANDS[config.command](config)
+    except limit.DegenerateDenominatorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except walk.StepLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+
+
+def entry() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()
