@@ -18,9 +18,9 @@ from .limit import (
     DegenerateDenominatorError,
     ExampleFixture,
     InitialStateAngles,
-    LimitMeasure,
     WeightCoefficients,
     ac_density,
+    atom_from_integral,
     atom_mass,
     example_fixture,
     fixture,
@@ -38,14 +38,10 @@ from .quadrature import (
 )
 from .spectral import (
     BinnedDensity,
-    BranchEval,
     CoarseKGridWarning,
     ResidueFactors,
-    contracting_root_sign,
     density_via_k_integration,
-    f_lambda_on_circle,
     residue_factors,
-    singular_points,
     weight_from_residues,
     x_of_k,
 )
@@ -53,11 +49,9 @@ from .walk import (
     DEFAULT_MAX_STEPS,
     AmplitudeField,
     Distribution,
-    Spinor,
     StepLimitError,
     WalkParams,
     cesaro_average,
-    coin_at,
     distribution,
     evolve,
     path_sum_field,
@@ -73,11 +67,9 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "AmplitudeField",
     "Distribution",
-    "Spinor",
     "StepLimitError",
     "WalkParams",
     "cesaro_average",
-    "coin_at",
     "distribution",
     "evolve",
     "path_sum_field",
@@ -87,9 +79,9 @@ __all__ = [
     "DegenerateDenominatorError",
     "ExampleFixture",
     "InitialStateAngles",
-    "LimitMeasure",
     "WeightCoefficients",
     "ac_density",
+    "atom_from_integral",
     "atom_mass",
     "example_fixture",
     "fixture",
@@ -100,14 +92,10 @@ __all__ = [
     "EXAMPLE_CASE_IDS",
     # spectral
     "BinnedDensity",
-    "BranchEval",
     "CoarseKGridWarning",
     "ResidueFactors",
-    "contracting_root_sign",
     "density_via_k_integration",
-    "f_lambda_on_circle",
     "residue_factors",
-    "singular_points",
     "weight_from_residues",
     "x_of_k",
     # quadrature

@@ -125,6 +125,8 @@ def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, floa
         a, phi1, b, phi2 = (float(p) for p in parts)
     except ValueError:
         parser.error(f"--init components must be numeric, got {text!r}")
+    if not all(math.isfinite(v) for v in (a, phi1, b, phi2)):
+        parser.error(f"--init components must be finite, got {text!r}")
     if a < 0.0 or b < 0.0:
         parser.error("--init moduli a and b must be nonnegative")
     deviation = abs(a * a + b * b - 1.0)
@@ -175,13 +177,16 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+_FLOAT = "%.17g"
 
 
-def _rows_checksum(rows: list[tuple]) -> str:
-    payload = "\n".join(",".join(_fmt(float(v)) for v in row) for row in rows)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+def _format_rows(rows: list[list[float]]) -> list[str]:
+    """CSV lines of the data rows, shared by the checksum and the CSV body."""
+    return [",".join([_FLOAT] * len(row)) % tuple(row) for row in rows]
+
+
+def _checksum(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -195,14 +200,10 @@ def _emit(text: str, path: str | None) -> None:
 def _emit_csv(
     config: RunConfig,
     header: str,
-    rows: list[tuple],
-    meta_lines: list[str] | None = None,
+    row_lines: list[str],
+    meta_lines: list[str],
 ) -> None:
-    lines = []
-    if meta_lines:
-        lines.extend(f"# {line}" for line in meta_lines)
-    lines.append(header)
-    lines.extend(",".join(_fmt(float(v)) for v in row) for row in rows)
+    lines = [f"# {line}" for line in meta_lines] + [header] + row_lines
     _emit("\n".join(lines) + "\n", config.output_path)
 
 
@@ -215,12 +216,25 @@ def _emit_json(config: RunConfig, metadata: dict, rows: list, columns: list[str]
     _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
 
 
+def _emit_table(
+    config: RunConfig, header: str, rows: list[list[float]], meta_pairs: list[tuple[str, float]]
+) -> None:
+    """Rows with their metadata and checksum: '# key=value' lines in CSV, keys in JSON."""
+    lines = _format_rows(rows)
+    checksum = _checksum(lines)
+    if config.output_format == "csv":
+        meta_lines = [f"{k}={_FLOAT % v}" for k, v in meta_pairs] + [f"checksum={checksum}"]
+        _emit_csv(config, header, lines, meta_lines)
+    else:
+        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
+        _emit_json(config, metadata, rows, header.split(","))
+
+
 def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]:
     """Coefficients, continuous integral and atom for the config, shared by commands."""
     coeffs = limit.weight_coefficients(config.phi, config.init_angles())
     result = integrate_ac(lambda x: limit.ac_density(x, coeffs), config.tolerance)
-    atom = limit.atom_mass(coeffs, config.tolerance)
-    return coeffs, result.value, atom
+    return coeffs, result.value, limit.atom_from_integral(result, config.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -235,42 +249,30 @@ def cmd_simulate(config: RunConfig) -> int:
     state = walk.evolve(params, t, config.max_steps)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config)
-    rows = []
-    for x in range(-t, t + 1, 2):  # sites of the populated parity class
-        ratio = x / t
-        rows.append((ratio, t * dist.probability_at(x), limit.ac_density(ratio, coeffs)))
-    checksum = _rows_checksum(rows)
+    pairs = walk.rescaled_distribution(dist, t)[::2]  # sites of the populated parity class
+    rows = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs))).tolist()
+    lines = _format_rows(rows)
     if config.output_format == "csv":
-        _emit_csv(config, "x_over_t,scaled_prob,density", rows)
+        _emit_csv(config, "x_over_t,scaled_prob,density", lines, [])
     else:
-        metadata = {"C": atom, "integral": integral, "checksum": checksum, "rows": len(rows)}
-        _emit_json(config, metadata, [list(r) for r in rows], ["x_over_t", "scaled_prob", "density"])
+        metadata = {"C": atom, "integral": integral, "checksum": _checksum(lines), "rows": len(rows)}
+        _emit_json(config, metadata, rows, ["x_over_t", "scaled_prob", "density"])
     return 0
 
 
 def cmd_density(config: RunConfig) -> int:
     """Analytic weight, base density and their product on a uniform grid."""
     coeffs, integral, atom = _measure(config)
-    bins = config.bins
-    width = 2.0 * SUPPORT_RADIUS / bins
-    rows = []
-    for i in range(bins):
-        x = -SUPPORT_RADIUS + (i + 0.5) * width
-        rows.append(
-            (x, limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS), limit.ac_density(x, coeffs))
-        )
-    checksum = _rows_checksum(rows)
+    width = 2.0 * SUPPORT_RADIUS / config.bins
+    x = -SUPPORT_RADIUS + (np.arange(config.bins) + 0.5) * width
+    columns = (x, limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS), limit.ac_density(x, coeffs))
+    rows = np.column_stack(columns).tolist()
     meta_pairs = [
         ("C", atom),
         ("integral", integral),
         ("total", atom + integral),
     ]
-    if config.output_format == "csv":
-        meta_lines = [f"{k}={_fmt(v)}" for k, v in meta_pairs] + [f"checksum={checksum}"]
-        _emit_csv(config, "x,w,f_K,density", rows, meta_lines)
-    else:
-        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
-        _emit_json(config, metadata, [list(r) for r in rows], ["x", "w", "f_K", "density"])
+    _emit_table(config, "x,w,f_K,density", rows, meta_pairs)
     return 0
 
 
@@ -292,7 +294,9 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     else:
         closed = limit.example_fixture(case_id)
         grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 1000)
-        worst = max(abs(limit.weight(float(x), coeffs) - closed(float(x))) for x in grid)
+        # closed() stays on Python floats: numpy's x**3 can differ in the last bit.
+        w = limit.weight(grid, coeffs)
+        worst = max(abs(wx - closed(x)) for wx, x in zip(w.tolist(), grid.tolist()))
         ok = worst <= 1e-12
         checks.append(
             {
@@ -306,7 +310,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     tol = max(config.tolerance, 1e-10)
     result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
     atom_raw = 1.0 - result.value
-    atom = limit.atom_mass(coeffs, tol)
+    atom = limit.atom_from_integral(result, tol)
     budget = max(1e-8, config.tolerance)
     problems = []
     if abs(atom + result.value - 1.0) > budget:
@@ -331,10 +335,11 @@ def _verify_checks(config: RunConfig) -> list[dict]:
 
     # (iii) residue route agrees with the closed-form weight pointwise
     grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
+    grid = grid[np.abs(grid) > 1e-3]
+    w = limit.weight(grid, coeffs)
     worst = max(
-        abs(spectral.weight_from_residues(float(x), config.phi, angles) - limit.weight(float(x), coeffs))
-        for x in grid
-        if abs(x) > 1e-3
+        abs(spectral.weight_from_residues(x, config.phi, angles) - wx)
+        for x, wx in zip(grid.tolist(), w.tolist())
     )
     ok = worst <= 1e-9
     checks.append(
@@ -420,7 +425,7 @@ def cmd_converge(config: RunConfig) -> int:
         total_dev += dev
         kept += 1
         rows.append(
-            (
+            [
                 lo,
                 hi,
                 0.5 * (lo + hi),
@@ -429,9 +434,8 @@ def cmd_converge(config: RunConfig) -> int:
                 dev,
                 float(empirical[i]) / width,
                 expected / width,
-            )
+            ]
         )
-    checksum = _rows_checksum(rows)
     header = "bin_lo,bin_hi,bin_mid,empirical_mass,expected_mass,abs_dev,empirical_density,expected_density"
     meta_pairs = [
         ("steps", float(t)),
@@ -442,12 +446,7 @@ def cmd_converge(config: RunConfig) -> int:
         ("C", atom),
         ("integral", integral),
     ]
-    if config.output_format == "csv":
-        meta_lines = [f"{k}={_fmt(v)}" for k, v in meta_pairs] + [f"checksum={checksum}"]
-        _emit_csv(config, header, rows, meta_lines)
-    else:
-        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
-        _emit_json(config, metadata, [list(r) for r in rows], header.split(","))
+    _emit_table(config, header, rows, meta_pairs)
     print(
         f"converge: t={t} total_abs_deviation={total_dev:.6g} "
         f"over {kept} bins (atom window |x/t| <= {ATOM_WINDOW} excluded)",

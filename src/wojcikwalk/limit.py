@@ -10,7 +10,9 @@ weak-convergence result:
     w(x) = (t3*x^5 + t2*x^4 + t1*x^3 + t0*x^2) / (s2*x^4 + s1*x^2 + s0)
 
 with one numerator branch for x >= 0 and another for x < 0, and the atom is
-recovered as C = 1 - integral of the continuous part.
+recovered as C = 1 - integral of the continuous part.  The evaluators take a
+float or a numpy array of abscissae: a float in gives a float out, an array
+in gives an array of the same shape out, with identical bits per point.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .quadrature import SUPPORT_RADIUS, QuadratureResult, integrate_ac
 
 __all__ = [
@@ -28,12 +32,12 @@ __all__ = [
     "DegenerateDenominatorError",
     "InitialStateAngles",
     "WeightCoefficients",
-    "LimitMeasure",
     "konno_density",
     "weight_coefficients",
     "weight",
     "ac_density",
     "atom_mass",
+    "atom_from_integral",
     "example_fixture",
     "fixture",
     "match_fixture",
@@ -81,8 +85,10 @@ class InitialStateAngles:
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("amplitude moduli a, b must be nonnegative")
         norm = self.a * self.a + self.b * self.b
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"initial state not normalized: a^2 + b^2 = {norm!r}")
+        if not math.isfinite(self.phi12):
+            raise ValueError(f"relative phase must be finite, got {self.phi12!r}")
 
     @classmethod
     def from_phases(cls, a: float, phi1: float, b: float, phi2: float) -> "InitialStateAngles":
@@ -118,30 +124,31 @@ class WeightCoefficients:
     b3: float
 
 
-@dataclass(frozen=True)
-class LimitMeasure:
-    """Atom mass plus the coefficients of the continuous part."""
-
-    atom: float
-    coefficients: WeightCoefficients
-    support_bound: float = SUPPORT_RADIUS
-
-    @classmethod
-    def for_configuration(
-        cls, phi: float, init: InitialStateAngles, tol: float = 1e-10
-    ) -> "LimitMeasure":
-        coeffs = weight_coefficients(phi, init)
-        return cls(atom=atom_mass(coeffs, tol), coefficients=coeffs)
+def _like(x, values: np.ndarray):
+    """A float for a scalar argument, the array itself for an array argument."""
+    return float(values) if np.ndim(x) == 0 else values
 
 
-def konno_density(x: float, a: float) -> float:
+def _zero_outside(x, radius: float, inner: Callable[[np.ndarray], np.ndarray]):
+    """``inner`` on the points of x with |x| < radius, 0 elsewhere.
+
+    Points that are not >= radius in modulus (NaN included) go to ``inner``,
+    so a NaN abscissa propagates instead of reading as "outside".
+    """
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros_like(xs)
+    inside = ~(np.abs(xs) >= radius)
+    out[inside] = inner(xs[inside])
+    return _like(x, out)
+
+
+def konno_density(x, a: float):
     """Arcsine-type density sqrt(1-a^2) / (pi (1-x^2) sqrt(a^2-x^2)) on (-a, a)."""
     if not (0.0 < a < 1.0):
         raise ValueError(f"scale parameter a must lie in (0, 1), got {a!r}")
-    if abs(x) >= a:
-        return 0.0
-    return math.sqrt(1.0 - a * a) / (
-        math.pi * (1.0 - x * x) * math.sqrt(a * a - x * x)
+    top = math.sqrt(1.0 - a * a)
+    return _zero_outside(
+        x, a, lambda u: top / (math.pi * (1.0 - u * u) * np.sqrt(a * a - u * u))
     )
 
 
@@ -216,64 +223,70 @@ def weight_coefficients(phi: float, init: InitialStateAngles) -> WeightCoefficie
 def _validate_on_support(coeffs: WeightCoefficients, points: int = 401) -> None:
     """Reject degenerate denominators and negative densities early."""
     span = SUPPORT_RADIUS - 1e-6
-    for i in range(points):
-        x = -span + (2.0 * span) * i / (points - 1)
-        w = weight(x, coeffs)  # raises DegenerateDenominatorError itself
-        if w < -1e-12:
-            raise ValueError(
-                f"weight is negative ({w!r} at x={x!r}) for phi={coeffs.phi!r}; "
-                "configuration outside the validated regime"
-            )
+    x = -span + (2.0 * span) * np.arange(points) / (points - 1)
+    w = weight(x, coeffs)  # raises DegenerateDenominatorError itself
+    negative = np.flatnonzero(w < -1e-12)
+    if negative.size:
+        i = negative[0]
+        raise ValueError(
+            f"weight is negative ({float(w[i])!r} at x={float(x[i])!r}) for phi={coeffs.phi!r}; "
+            "configuration outside the validated regime"
+        )
 
 
-def weight(x: float, coeffs: WeightCoefficients) -> float:
-    """Rational weight w(x) on (-1/sqrt(2), 1/sqrt(2)).
+def weight(x, coeffs: WeightCoefficients):
+    """Rational weight w(x) on (-1/sqrt(2), 1/sqrt(2)), for a float or an array.
 
     The numerator branch switches at x = 0 (the x >= 0 branch owns the
     boundary point).  When the lower denominator coefficients vanish the
     x = 0 value is the removable limit: t0/s1 if only s0 = 0, t2/s2 if
-    s0 = s1 = 0.
+    s0 = s1 = 0.  Any point outside the support raises ValueError.
     """
-    if abs(x) >= SUPPORT_RADIUS:
-        raise ValueError(f"weight is defined on |x| < 1/sqrt(2), got x={x!r}")
+    xs = np.asarray(x, dtype=float)
+    outside = np.abs(xs) >= SUPPORT_RADIUS
+    if outside.any():
+        bad = float(xs[outside][0])
+        raise ValueError(f"weight is defined on |x| < 1/sqrt(2), got x={bad!r}")
+    out = np.empty_like(xs)
     # |x| below any physically meaningful scale: evaluate the x = 0 limit
     # instead of risking underflow of x^4 in the denominator.
-    if abs(x) < 1e-80:
-        if coeffs.s0 > _COEFF_ZERO:
-            return 0.0
-        if coeffs.s1 > _COEFF_ZERO:
-            return coeffs.t0_pos / coeffs.s1
-        return coeffs.t2_pos / coeffs.s2
-    if x > 0.0:
-        t0, t1, t2, t3 = coeffs.t0_pos, coeffs.t1_pos, coeffs.t2_pos, coeffs.t3_pos
+    tiny = np.abs(xs) < 1e-80
+    if coeffs.s0 > _COEFF_ZERO:
+        out[tiny] = 0.0
+    elif coeffs.s1 > _COEFF_ZERO:
+        out[tiny] = coeffs.t0_pos / coeffs.s1
     else:
-        t0, t1, t2, t3 = coeffs.t0_neg, coeffs.t1_neg, coeffs.t2_neg, coeffs.t3_neg
-    x2 = x * x
-    num = ((t3 * x + t2) * x + t1) * x * x2 + t0 * x2
+        out[tiny] = coeffs.t2_pos / coeffs.s2
+    xr = xs[~tiny]
+    pos = xr > 0.0
+    t0 = np.where(pos, coeffs.t0_pos, coeffs.t0_neg)
+    t1 = np.where(pos, coeffs.t1_pos, coeffs.t1_neg)
+    t2 = np.where(pos, coeffs.t2_pos, coeffs.t2_neg)
+    t3 = np.where(pos, coeffs.t3_pos, coeffs.t3_neg)
+    x2 = xr * xr
+    num = ((t3 * xr + t2) * xr + t1) * xr * x2 + t0 * x2
     den = (coeffs.s2 * x2 + coeffs.s1) * x2 + coeffs.s0
     scale = (abs(coeffs.s2) * x2 + abs(coeffs.s1)) * x2 + abs(coeffs.s0)
-    if den <= 0.0 or den < _DEGENERATE_RTOL * scale:
-        raise DegenerateDenominatorError(x, coeffs.phi)
-    return num / den
+    degenerate = (den <= 0.0) | (den < _DEGENERATE_RTOL * scale)
+    if degenerate.any():
+        raise DegenerateDenominatorError(float(xr[degenerate][0]), coeffs.phi)
+    out[~tiny] = num / den
+    return _like(x, out)
 
 
-def ac_density(x: float, coeffs: WeightCoefficients) -> float:
+def ac_density(x, coeffs: WeightCoefficients):
     """Continuous part w(x) * f_K(x; 1/sqrt(2)); zero outside the support."""
-    if abs(x) >= SUPPORT_RADIUS:
-        return 0.0
-    return weight(x, coeffs) * konno_density(x, SUPPORT_RADIUS)
+    return _zero_outside(
+        x, SUPPORT_RADIUS, lambda u: weight(u, coeffs) * konno_density(u, SUPPORT_RADIUS)
+    )
 
 
-def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
-    """Atom C = 1 - integral of the continuous part.
+def atom_from_integral(result: QuadratureResult, tol: float) -> float:
+    """Atom C = 1 - integral of the continuous part, from its quadrature result.
 
-    The integral is evaluated with the endpoint-absorbing quadrature at
-    tolerance ``tol``.  A raw value outside [0, 1] by more than ``tol``
-    triggers a warning before clamping.
+    A raw value outside [0, 1] by more than ``tol`` triggers a warning before
+    clamping.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    result: QuadratureResult = integrate_ac(lambda x: ac_density(x, coeffs), tol)
     raw = 1.0 - result.value
     if raw < -tol or raw > 1.0 + tol:
         warnings.warn(
@@ -282,6 +295,17 @@ def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
             stacklevel=2,
         )
     return min(1.0, max(0.0, raw))
+
+
+def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
+    """Atom C = 1 - integral of the continuous part.
+
+    The integral is evaluated with the endpoint-absorbing quadrature at
+    tolerance ``tol``; atom_from_integral clamps the result.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return atom_from_integral(integrate_ac(lambda x: ac_density(x, coeffs), tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +326,34 @@ class ExampleFixture:
     atom: float
 
 
-def _w_hadamard_10(x: float) -> float:
+# The closed forms take floats or arrays, like weight().  A float is computed
+# in Python float arithmetic throughout: numpy's x**3 on an array can differ in
+# the last bit, and the verify command prints the float comparison.
+
+
+def _w_hadamard_10(x):
     return 1.0 - x
 
 
-def _w_hadamard_sym(x: float) -> float:
-    return 1.0
+def _w_hadamard_sym(x):
+    return np.ones_like(x, dtype=float)
 
 
-def _w_halfphase_10(x: float) -> float:
-    if x >= 0.0:
-        return (-(x**3) + 5.0 * x * x) / (x * x + 4.0)
-    return (-(x**3) + x * x) / (x * x + 4.0)
+def _w_halfphase_10(x):
+    num = np.where(x >= 0.0, -(x**3) + 5.0 * x * x, -(x**3) + x * x)
+    return num / (x * x + 4.0)
 
 
-def _w_halfphase_sym(x: float) -> float:
+def _w_halfphase_sym(x):
     return 3.0 * x * x / (4.0 + x * x)
 
 
-def _w_quarterphase_10(x: float) -> float:
-    if x >= 0.0:
-        return (x**3 + 5.0 * x * x - 2.0 * x + 2.0) / (x * x + 4.0)
-    return (x**3 - x * x - 2.0 * x + 2.0) / (x * x + 4.0)
+def _w_quarterphase_10(x):
+    num = np.where(x >= 0.0, x**3 + 5.0 * x * x - 2.0 * x + 2.0, x**3 - x * x - 2.0 * x + 2.0)
+    return num / (x * x + 4.0)
 
 
-def _w_quarterphase_sym(x: float) -> float:
+def _w_quarterphase_sym(x):
     return 3.0 * x * x / (4.0 + x * x)
 
 

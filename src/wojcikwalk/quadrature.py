@@ -63,18 +63,18 @@ class QuadratureConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _panel_sum(g: Callable[[float], float], lo: float, hi: float, n: int) -> float:
+def _panel_sum(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> float:
     """Composite fixed-order Gauss-Legendre over n equal panels of [lo, hi]."""
     h = (hi - lo) / n
     starts = lo + h * np.arange(n)
     mids = starts + 0.5 * h
     pts = (mids[:, None] + (0.5 * h) * _NODES[None, :]).ravel()
-    vals = np.fromiter((g(float(p)) for p in pts), dtype=float, count=pts.size)
-    return 0.5 * h * float((vals.reshape(n, _PANEL_ORDER) @ _WEIGHTS).sum())
+    vals = np.reshape(g(pts), (n, _PANEL_ORDER))
+    return 0.5 * h * float((vals @ _WEIGHTS).sum())
 
 
 def _refine_piece(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float,
@@ -104,7 +104,7 @@ def _refine_piece(
 
 
 def integrate_ac(
-    density: Callable[[float], float],
+    density: Callable[[np.ndarray], np.ndarray],
     tol: float,
     *,
     lo: float = -SUPPORT_RADIUS,
@@ -116,8 +116,10 @@ def integrate_ac(
     Parameters
     ----------
     density : callable
-        Real-valued evaluator on (-1/sqrt(2), 1/sqrt(2)).  Endpoint values
-        are never requested; quadrature nodes stay strictly interior.
+        Real-valued evaluator on (-1/sqrt(2), 1/sqrt(2)).  It is called on
+        whole 1-d arrays of quadrature nodes, one array per refinement level,
+        and must return an array of the same shape.  Endpoint values are never
+        requested; the nodes stay strictly interior.
     tol : float
         Target absolute error estimate, in (0, 1e-2].
     lo, hi : float, optional
@@ -147,9 +149,9 @@ def integrate_ac(
     if max_evaluations < 4 * _PANEL_ORDER:
         raise ValueError("max_evaluations too small to form one error estimate")
 
-    def transformed(u: float) -> float:
-        x = SUPPORT_RADIUS * math.sin(u)
-        return density(x) * SUPPORT_RADIUS * math.cos(u)
+    def transformed(u: np.ndarray) -> np.ndarray:
+        x = SUPPORT_RADIUS * np.sin(u)
+        return density(x) * SUPPORT_RADIUS * np.cos(u)
 
     u_lo = math.asin(max(-1.0, min(1.0, lo / SUPPORT_RADIUS)))
     u_hi = math.asin(max(-1.0, min(1.0, hi / SUPPORT_RADIUS)))

@@ -15,9 +15,8 @@ using the closed-form weight, which makes it a genuine cross-check: the
 change of variables from k to x emerges numerically from the deposition.
 
 All evaluations work on the ballistic region |sin theta| < 1/sqrt(2) of the
-circle.  The complementary region only enters through the square-root branch
-selection rule (contracting_root_sign); reconstructing the localized point
-mass from it is out of scope here.
+circle, z = exp(i*theta).  Reconstructing the localized point mass from the
+complementary region is out of scope here.
 """
 
 from __future__ import annotations
@@ -34,12 +33,8 @@ from .quadrature import SUPPORT_RADIUS
 
 __all__ = [
     "CoarseKGridWarning",
-    "BranchEval",
     "ResidueFactors",
     "BinnedDensity",
-    "f_lambda_on_circle",
-    "contracting_root_sign",
-    "singular_points",
     "x_of_k",
     "residue_factors",
     "weight_from_residues",
@@ -59,25 +54,6 @@ _MIN_SAMPLES_PER_BIN = 32
 
 class CoarseKGridWarning(UserWarning):
     """The k grid is too coarse for the requested bin resolution."""
-
-
-@dataclass(frozen=True)
-class BranchEval:
-    """Pole data at one circle point z = exp(i*theta) for one branch.
-
-    ``lambda_`` is the selected eigenvalue-like root (the contracting one,
-    modulus <= 1), ``f_tilde`` the shared root of the quadratic
-    f^2 - sqrt(2)(1+z^2) f + z^2 = 0.  ``sgn_cos_k``/``sgn_sin_k`` give the
-    quadrant of the spatial frequencies k whose singular point of this
-    branch lands at theta (0 where degenerate).
-    """
-
-    theta: float
-    branch: int
-    sgn_cos_k: int
-    sgn_sin_k: int
-    lambda_: complex
-    f_tilde: complex
 
 
 @dataclass(frozen=True)
@@ -108,52 +84,6 @@ class BinnedDensity:
         return float(self.masses.sum())
 
 
-def f_lambda_on_circle(theta: float, branch: int = 1) -> BranchEval:
-    """Evaluate f_tilde and the selected root at z = exp(i*theta).
-
-    Only the ballistic region |sin theta| < 1/sqrt(2) is admissible; there
-    2 cos^2(theta) - 1 > 0 and
-
-        f_tilde = sgn(cos t) * z * (sqrt(2)|cos t| - sqrt(2 cos^2 t - 1))
-        lambda  = -branch * (sgn(cos t) sqrt(2 cos^2 t - 1) + i sqrt(2) sin t)
-
-    with |lambda| <= 1 (equality exactly on the circle).
-    """
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if abs(s) >= SUPPORT_RADIUS:
-        raise ValueError(
-            f"theta={theta!r} lies outside the ballistic region |sin theta| < 1/sqrt(2)"
-        )
-    root = math.sqrt(2.0 * c * c - 1.0)
-    sgn_c = 1.0 if c >= 0.0 else -1.0
-    f = sgn_c * cmath.exp(1j * theta) * (_SQRT2 * abs(c) - root)
-    lam = -branch * (sgn_c * root + 1j * _SQRT2 * s)
-    return BranchEval(
-        theta=theta,
-        branch=branch,
-        sgn_cos_k=-branch * int(np.sign(c)),
-        sgn_sin_k=int(np.sign(s)),
-        lambda_=lam,
-        f_tilde=f,
-    )
-
-
-def contracting_root_sign(theta: float) -> int:
-    """Sign delta fixing the square root so the selected root contracts.
-
-    -sgn(cos theta) on the ballistic region |sin theta| < 1/sqrt(2), and
-    -sgn(sin theta) on the complementary (localization) region.
-    """
-    s = math.sin(theta)
-    if abs(s) < SUPPORT_RADIUS:
-        c = math.cos(theta)
-        return -1 if c >= 0.0 else 1
-    return -1 if s >= 0.0 else 1
-
-
 def x_of_k(k: float) -> tuple[float, float]:
     """Rescaled velocities fed by frequency k: x_plus in [0, 1/sqrt(2)], x_minus = -x_plus."""
     c = math.cos(k)
@@ -161,33 +91,11 @@ def x_of_k(k: float) -> tuple[float, float]:
     return x_plus, -x_plus
 
 
-def _require_interior(k: float) -> tuple[float, float]:
-    c = math.cos(k)
-    s = math.sin(k)
-    if abs(c) < _AXIS_TOL or abs(s) < _AXIS_TOL:
+def _require_interior(k: float) -> None:
+    if abs(math.cos(k)) < _AXIS_TOL or abs(math.sin(k)) < _AXIS_TOL:
         raise ValueError(
             f"k={k!r} is on a coordinate axis; sign factors are undefined there"
         )
-    return c, s
-
-
-def singular_points(k: float) -> tuple[complex, complex]:
-    """The two unit-circle poles fed by frequency k (plus branch, minus branch).
-
-    Each satisfies 1 - exp(+-ik) * lambda(z) = 0 for its branch.
-    """
-    c, s = _require_interior(k)
-    x_plus, x_minus = x_of_k(k)
-    sgn_c = 1.0 if c > 0.0 else -1.0
-    sgn_s = 1.0 if s > 0.0 else -1.0
-
-    def point(x: float, cos_sign: float) -> complex:
-        one_minus = 1.0 - x * x
-        re = cos_sign / math.sqrt(2.0 * one_minus)
-        im = sgn_s * math.sqrt((1.0 - 2.0 * x * x) / (2.0 * one_minus))
-        return complex(re, im)
-
-    return point(x_plus, -sgn_c), point(x_minus, sgn_c)
 
 
 def _item_arrays(

@@ -24,11 +24,9 @@ import numpy as np
 __all__ = [
     "DEFAULT_MAX_STEPS",
     "StepLimitError",
-    "Spinor",
     "WalkParams",
     "AmplitudeField",
     "Distribution",
-    "coin_at",
     "step",
     "evolve",
     "path_sum_field",
@@ -46,17 +44,6 @@ _PATH_SUM_LIMIT = 20  # 2^t paths; anything larger is not a useful oracle
 
 class StepLimitError(RuntimeError):
     """Requested evolution length exceeds the configured step cap."""
-
-
-@dataclass(frozen=True)
-class Spinor:
-    """Two-component amplitude at one site: left mover and right mover."""
-
-    left: complex
-    right: complex
-
-    def probability(self) -> float:
-        return abs(self.left) ** 2 + abs(self.right) ** 2
 
 
 @dataclass(frozen=True)
@@ -81,8 +68,10 @@ class WalkParams:
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("amplitude moduli a, b must be nonnegative")
         norm = self.a * self.a + self.b * self.b
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"initial state not normalized: a^2 + b^2 = {norm!r}")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+            raise ValueError(f"phases must be finite, got phi1={self.phi1!r}, phi2={self.phi2!r}")
 
     @classmethod
     def from_spinor(cls, phi: float, alpha: complex, beta: complex) -> "WalkParams":
@@ -136,12 +125,6 @@ class AmplitudeField:
     def positions(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1)
 
-    def spinor(self, x: int) -> Spinor:
-        if abs(x) > self.time:
-            return Spinor(0j, 0j)
-        idx = x + self.origin_offset
-        return Spinor(complex(self.amplitudes[0, idx]), complex(self.amplitudes[1, idx]))
-
     def total_probability(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
@@ -158,14 +141,6 @@ class Distribution:
         if abs(x) > t:
             return 0.0
         return float(self.prob[x + t])
-
-
-def coin_at(x: int, phi: float) -> np.ndarray:
-    """The 2x2 coin at site x: Hadamard, with the defect phase at x = 0."""
-    h = _INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128)
-    if x == 0:
-        h = cmath.exp(2j * math.pi * phi) * h
-    return h
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, defect: complex) -> None:

@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wojcikwalk import cli
 
 
-def run_cli(argv, capsys):
-    code = cli.main(argv)
+def run_cli(argv, capsys, main=cli.main):
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -230,6 +232,11 @@ def test_converge_json_deviation_adds_up(capsys):
         ["simulate", "--tol", "0"],
         ["simulate", "--tol", "0.5"],
         ["nonsense"],
+        ["density", "--init", "nan,0,nan,0"],
+        ["density", "--init", "1,nan,0,0"],
+        ["density", "--init", "0.6,inf,0.8,0"],
+        ["simulate", "--init", "1,0,0,-inf"],
+        ["verify", "--init", "inf,0,0,0"],
     ],
 )
 def test_invalid_arguments_exit_two(argv, capsys):
@@ -296,3 +303,37 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "OK"
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the frozen reference package
+# ---------------------------------------------------------------------------
+
+
+def random_config_args(n, seed):
+    """--phi/--init arguments of n random configurations."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(n):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi1, phi2 = rng.uniform(-3.0, 3.0, 2)
+        init = f"{math.cos(theta)!r},{float(phi1)!r},{math.sin(theta)!r},{float(phi2)!r}"
+        configs.append(["--phi", repr(float(rng.uniform(0.01, 0.99))), "--init", init])
+    return configs
+
+
+@pytest.mark.parametrize("config", random_config_args(4, seed=2024))
+def test_output_matches_frozen_reference(config, frozen, capsys):
+    commands = (
+        ["simulate", "--steps", "200"],
+        ["converge", "--steps", "400"],
+        ["density", "--bins", "2001"],
+        ["density", "--bins", "2001", "--format", "json"],
+        ["verify"],
+    )
+    for command in commands:
+        argv = command + config
+        got = run_cli(argv, capsys)
+        want = run_cli(argv, capsys, main=frozen.cli.main)
+        assert want[0] == 0, argv
+        assert got == want, argv

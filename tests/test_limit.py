@@ -8,9 +8,10 @@ import pytest
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
     InitialStateAngles,
-    LimitMeasure,
+    QuadratureResult,
     SUPPORT_RADIUS,
     ac_density,
+    atom_from_integral,
     atom_mass,
     example_fixture,
     fixture,
@@ -38,6 +39,15 @@ REFERENCE_MASSES = {
 def coefficients_for(case_id):
     case = fixture(case_id)
     return weight_coefficients(case.phi, case.init)
+
+
+def random_configurations(n, seed):
+    """(phi, init) pairs with uniform phase and a random normalized spinor."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        yield float(rng.uniform(0.0, 1.0)), init
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +114,21 @@ def test_phi_validation():
         weight_coefficients(1.0, InitialStateAngles(1.0, 0.0))
     with pytest.raises(ValueError):
         weight_coefficients(-0.1, InitialStateAngles(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "a, b, phi12",
+    [
+        (math.nan, math.nan, 0.0),
+        (math.nan, 0.0, 0.0),
+        (math.inf, 0.0, 0.0),
+        (1.0, 0.0, math.nan),
+        (0.6, 0.8, -math.inf),
+    ],
+)
+def test_initial_state_rejects_non_finite(a, b, phi12):
+    with pytest.raises(ValueError):
+        InitialStateAngles(a, b, phi12)
 
 
 def test_initial_state_validation():
@@ -173,12 +198,51 @@ def test_weight_domain_validation():
     for x in (S, -S, 0.8, -1.0):
         with pytest.raises(ValueError):
             weight(x, coeffs)
+        with pytest.raises(ValueError):
+            weight(np.array([0.1, x, -0.2]), coeffs)
 
 
 def test_weight_tiny_arguments_use_limit():
     coeffs = coefficients_for("quarterphase_10")
     assert abs(weight(1e-100, coeffs) - 0.5) <= 1e-14
     assert abs(weight(-1e-100, coeffs) - 0.5) <= 1e-14
+
+
+# Signed zeros, points below the 1e-80 cutoff, the midpoint of the middle bin
+# of an odd grid (next to 0 but not 0), both branches up to the support edge.
+_INNER_GRID = np.concatenate(
+    (
+        [0.0, -0.0, 1e-100, -1e-100, 9e-81, -S + 50.5 * (2.0 * S / 101)],
+        np.linspace(-S + 1e-12, S - 1e-12, 401),
+    )
+)
+# The same plus points on and past the support edge, where densities are 0.
+_FULL_GRID = np.concatenate((_INNER_GRID, [S, -S, 0.71, -0.8, 1.5]))
+
+
+def test_array_evaluation_matches_float_calls(frozen):
+    """An array in gives the float calls' values bit for bit, in its own shape.
+
+    The float calls are checked against the frozen scalar implementation too.
+    """
+    configs = [(fixture(c).phi, fixture(c).init) for c in EXAMPLE_CASE_IDS]
+    configs += list(random_configurations(3, seed=29))
+    for phi, init in configs:
+        coeffs = weight_coefficients(phi, init)
+        old = frozen.limit.weight_coefficients(phi, frozen.limit.InitialStateAngles(init.a, init.b, init.phi12))
+        evaluators = (
+            (_INNER_GRID, lambda x: weight(x, coeffs), lambda x: frozen.limit.weight(x, old)),
+            (_FULL_GRID, lambda x: konno_density(x, S), lambda x: frozen.limit.konno_density(x, S)),
+            (_FULL_GRID, lambda x: ac_density(x, coeffs), lambda x: frozen.limit.ac_density(x, old)),
+        )
+        for grid, evaluate, reference in evaluators:
+            points = grid.tolist()
+            floats = [evaluate(x) for x in points]
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(evaluate(grid), np.array(floats))
+            assert np.array_equal(np.array(floats), np.array([reference(x) for x in points]))
+            square = grid[:400].reshape(20, 20)
+            assert np.array_equal(evaluate(square), np.array(floats[:400]).reshape(20, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +283,20 @@ def test_atom_mass_validation():
 
 
 def test_limit_measure_decomposes_unit_mass():
-    rng = np.random.default_rng(11)
-    for _ in range(4):
-        theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
-        phi = float(rng.uniform(0.0, 1.0))
-        measure = LimitMeasure.for_configuration(phi, init)
-        cont = integrate_ac(lambda x: ac_density(x, measure.coefficients), 1e-10).value
-        assert abs(measure.atom + cont - 1.0) <= 1e-8
-        assert measure.support_bound == S
+    for phi, init in random_configurations(4, seed=11):
+        coeffs = weight_coefficients(phi, init)
+        cont = integrate_ac(lambda x: ac_density(x, coeffs), 1e-10).value
+        assert abs(atom_mass(coeffs) + cont - 1.0) <= 1e-8
+
+
+def test_atom_from_integral_clamps_with_a_warning():
+    assert atom_from_integral(QuadratureResult(0.2, 1e-12, 96), 1e-10) == 1.0 - 0.2
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        assert atom_from_integral(QuadratureResult(1.0 + 1e-6, 1e-12, 96), 1e-8) == 0.0
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        assert atom_from_integral(QuadratureResult(-1e-6, 1e-12, 96), 1e-8) == 1.0
+    # within tol of [0, 1]: clamped silently
+    assert atom_from_integral(QuadratureResult(1.0 + 1e-9, 1e-12, 96), 1e-8) == 0.0
 
 
 # ---------------------------------------------------------------------------

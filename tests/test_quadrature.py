@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
@@ -63,7 +64,7 @@ def test_second_moment_closed_form():
 
 
 def test_smooth_integrand_exact():
-    result = integrate_ac(lambda x: 1.0, 1e-12)
+    result = integrate_ac(lambda x: np.ones_like(x), 1e-12)
     assert abs(result.value - 2.0 * S) <= 1e-13
 
 
@@ -108,7 +109,7 @@ def test_budget_validation():
 
 def test_budget_exhaustion_raises_and_estimates_shrink():
     # square-root kink off center: panel doubling converges, but slowly
-    kink = lambda x: math.sqrt(abs(x - 0.1))
+    kink = lambda x: np.sqrt(np.abs(x - 0.1))
     estimates = []
     for budget in (300, 1200, 5000, 20000):
         with pytest.raises(QuadratureConvergenceError) as excinfo:

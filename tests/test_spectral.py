@@ -1,6 +1,5 @@
-"""Tests for the residue route: pole data, pointwise weight, binned density."""
+"""Tests for the residue route: frequencies, residues, pointwise weight, binned density."""
 
-import cmath
 import math
 import warnings
 
@@ -12,13 +11,10 @@ from wojcikwalk import (
     InitialStateAngles,
     SUPPORT_RADIUS,
     ac_density,
-    contracting_root_sign,
     density_via_k_integration,
-    f_lambda_on_circle,
     fixture,
     integrate_ac,
     residue_factors,
-    singular_points,
     weight,
     weight_coefficients,
     weight_from_residues,
@@ -26,18 +22,6 @@ from wojcikwalk import (
 )
 
 S = SUPPORT_RADIUS
-SQRT2 = math.sqrt(2.0)
-
-
-def ballistic_thetas(n, seed=3):
-    """Angles with |sin theta| < 1/sqrt(2), away from the region boundary."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        theta = float(rng.uniform(-math.pi, math.pi))
-        if abs(math.sin(theta)) < S - 1e-3:
-            out.append(theta)
-    return out
 
 
 def interior_ks(n, seed=5):
@@ -52,57 +36,7 @@ def interior_ks(n, seed=5):
 
 
 # ---------------------------------------------------------------------------
-# roots on the circle
-# ---------------------------------------------------------------------------
-
-
-def test_circle_values_at_theta_zero():
-    ev = f_lambda_on_circle(0.0, branch=1)
-    assert abs(ev.lambda_ - (-1.0)) <= 1e-15
-    assert abs(ev.f_tilde - (SQRT2 - 1.0)) <= 1e-15
-    assert ev.sgn_cos_k == -1
-    assert ev.sgn_sin_k == 0
-    other = f_lambda_on_circle(0.0, branch=-1)
-    assert abs(other.lambda_ - 1.0) <= 1e-15
-    assert other.sgn_cos_k == 1
-
-
-def test_f_tilde_satisfies_its_quadratic():
-    for theta in ballistic_thetas(60):
-        for branch in (1, -1):
-            ev = f_lambda_on_circle(theta, branch)
-            z = cmath.exp(1j * theta)
-            residual = ev.f_tilde**2 - SQRT2 * (1.0 + z * z) * ev.f_tilde + z * z
-            assert abs(residual) <= 1e-10
-
-
-def test_selected_root_lies_on_unit_circle():
-    for theta in ballistic_thetas(60):
-        for branch in (1, -1):
-            ev = f_lambda_on_circle(theta, branch)
-            assert abs(abs(ev.lambda_) - 1.0) <= 1e-12
-            assert ev.sgn_cos_k == -branch * int(np.sign(math.cos(theta)))
-
-
-def test_circle_domain_and_branch_validation():
-    for theta in (math.pi / 2.0, 2.0, -1.8, 3.0 * math.pi / 4.0):
-        with pytest.raises(ValueError):
-            f_lambda_on_circle(theta)
-    with pytest.raises(ValueError):
-        f_lambda_on_circle(0.0, branch=0)
-    with pytest.raises(ValueError):
-        f_lambda_on_circle(0.0, branch=2)
-
-
-def test_contracting_root_sign_by_region():
-    assert contracting_root_sign(0.0) == -1
-    assert contracting_root_sign(math.pi) == 1
-    assert contracting_root_sign(math.pi / 2.0) == -1
-    assert contracting_root_sign(-math.pi / 2.0) == 1
-
-
-# ---------------------------------------------------------------------------
-# singular points
+# frequencies and abscissae
 # ---------------------------------------------------------------------------
 
 
@@ -119,21 +53,8 @@ def test_x_of_k_spot_values():
     assert all(0.0 < v < S for v in vals)
 
 
-def test_singular_points_satisfy_pole_condition():
-    for k in interior_ks(40):
-        z_plus, z_minus = singular_points(k)
-        assert abs(abs(z_plus) - 1.0) <= 1e-13
-        assert abs(abs(z_minus) - 1.0) <= 1e-13
-        ev_plus = f_lambda_on_circle(cmath.phase(z_plus), branch=1)
-        ev_minus = f_lambda_on_circle(cmath.phase(z_minus), branch=-1)
-        assert abs(1.0 - cmath.exp(1j * k) * ev_plus.lambda_) <= 1e-10
-        assert abs(1.0 - cmath.exp(-1j * k) * ev_minus.lambda_) <= 1e-10
-
-
 def test_axis_frequencies_are_rejected():
     for k in (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi):
-        with pytest.raises(ValueError):
-            singular_points(k)
         with pytest.raises(ValueError):
             residue_factors(k, 1, 0.5, InitialStateAngles(1.0, 0.0))
 

@@ -11,7 +11,6 @@ from wojcikwalk import (
     StepLimitError,
     WalkParams,
     cesaro_average,
-    coin_at,
     distribution,
     evolve,
     path_sum_field,
@@ -28,7 +27,7 @@ def symmetric_params(phi):
 
 
 # ---------------------------------------------------------------------------
-# parameters and coins
+# parameters
 # ---------------------------------------------------------------------------
 
 
@@ -53,14 +52,19 @@ def test_params_from_spinor_roundtrip():
     assert abs(params.phi12 - (0.31 + 1.2)) <= 1e-15
 
 
-def test_coin_is_hadamard_with_origin_phase():
-    h = coin_at(7, 0.3)
-    assert np.allclose(h, INV_SQRT2 * np.array([[1, 1], [1, -1]]), atol=1e-15)
-    ratio = coin_at(0, 0.3) / coin_at(7, 0.3)
-    assert np.allclose(ratio, cmath.exp(2j * math.pi * 0.3), atol=1e-15)
-    for x in (0, 3):
-        u = coin_at(x, 0.3)
-        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"a": math.nan, "b": math.nan},
+        {"a": math.nan, "b": 0.0},
+        {"a": math.inf, "b": 0.0},
+        {"a": 1.0, "b": 0.0, "phi1": math.nan},
+        {"a": 0.6, "b": 0.8, "phi2": math.inf},
+    ],
+)
+def test_params_reject_non_finite(fields):
+    with pytest.raises(ValueError):
+        WalkParams(phi=0.5, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +80,7 @@ def test_one_step_splits_evenly_for_any_phase():
         assert abs(dist.probability_at(1) - 0.5) <= 1e-15
         assert dist.probability_at(0) == 0.0
         # the left mover carries the origin coin phase
-        left = state.spinor(-1).left
+        left = state.amplitudes[0, state.origin_offset - 1]
         assert abs(left - cmath.exp(2j * math.pi * phi) * INV_SQRT2) <= 1e-15
 
 
@@ -163,9 +167,6 @@ def test_spinor_and_support_accessors():
     state = evolve(RIGHT, 5)
     assert state.origin_offset == 5
     assert np.array_equal(state.positions(), np.arange(-5, 6))
-    outside = state.spinor(9)
-    assert outside.left == 0j and outside.right == 0j
-    assert outside.probability() == 0.0
     dist = distribution(state)
     assert dist.probability_at(11) == 0.0
 
