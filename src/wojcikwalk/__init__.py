@@ -39,11 +39,8 @@ from .quadrature import (
 from .spectral import (
     BinnedDensity,
     CoarseKGridWarning,
-    ResidueFactors,
     density_via_k_integration,
-    residue_factors,
     weight_from_residues,
-    x_of_k,
 )
 from .walk import (
     DEFAULT_MAX_STEPS,
@@ -93,11 +90,8 @@ __all__ = [
     # spectral
     "BinnedDensity",
     "CoarseKGridWarning",
-    "ResidueFactors",
     "density_via_k_integration",
-    "residue_factors",
     "weight_from_residues",
-    "x_of_k",
     # quadrature
     "SUPPORT_RADIUS",
     "QuadratureConvergenceError",

@@ -336,11 +336,8 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     # (iii) residue route agrees with the closed-form weight pointwise
     grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
     grid = grid[np.abs(grid) > 1e-3]
-    w = limit.weight(grid, coeffs)
-    worst = max(
-        abs(spectral.weight_from_residues(x, config.phi, angles) - wx)
-        for x, wx in zip(grid.tolist(), w.tolist())
-    )
+    residues = spectral.weight_from_residues(grid, config.phi, angles)
+    worst = float(np.max(np.abs(residues - limit.weight(grid, coeffs))))
     ok = worst <= 1e-9
     checks.append(
         {

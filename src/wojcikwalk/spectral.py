@@ -28,15 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit import InitialStateAngles
+from .limit import InitialStateAngles, _like
 from .quadrature import SUPPORT_RADIUS
 
 __all__ = [
     "CoarseKGridWarning",
-    "ResidueFactors",
     "BinnedDensity",
-    "x_of_k",
-    "residue_factors",
     "weight_from_residues",
     "density_via_k_integration",
 ]
@@ -56,20 +53,6 @@ class CoarseKGridWarning(UserWarning):
     """The k grid is too coarse for the requested bin resolution."""
 
 
-@dataclass(frozen=True)
-class ResidueFactors:
-    """The four factors of one squared residue norm, and the x it feeds."""
-
-    item1: float
-    item2: float
-    item3: float
-    item4: float
-    x: float
-
-    def product(self) -> float:
-        return self.item1 * self.item2 * self.item3 * self.item4
-
-
 @dataclass
 class BinnedDensity:
     """Histogram approximation of the continuous limit density."""
@@ -84,17 +67,11 @@ class BinnedDensity:
         return float(self.masses.sum())
 
 
-def x_of_k(k: float) -> tuple[float, float]:
-    """Rescaled velocities fed by frequency k: x_plus in [0, 1/sqrt(2)], x_minus = -x_plus."""
-    c = math.cos(k)
-    x_plus = abs(c) / math.sqrt(1.0 + c * c)
-    return x_plus, -x_plus
-
-
-def _require_interior(k: float) -> None:
-    if abs(math.cos(k)) < _AXIS_TOL or abs(math.sin(k)) < _AXIS_TOL:
+def _require_interior(k: np.ndarray) -> None:
+    on_axis = (np.abs(np.cos(k)) < _AXIS_TOL) | (np.abs(np.sin(k)) < _AXIS_TOL)
+    if on_axis.any():
         raise ValueError(
-            f"k={k!r} is on a coordinate axis; sign factors are undefined there"
+            f"k={float(k[on_axis][0])!r} is on a coordinate axis; sign factors are undefined there"
         )
 
 
@@ -103,7 +80,7 @@ def _item_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized items 1-4 and deposition abscissa x for one branch.
 
-    Shared by the scalar accessor and the k-grid accumulation so both
+    Shared by the pointwise weight and the k-grid accumulation so both
     routes evaluate identical expressions.
     """
     c = np.cos(k)
@@ -134,43 +111,33 @@ def _item_arrays(
     return item1, item2, item3, item4, x
 
 
-def residue_factors(
-    k: float, branch: int, phi: float, init: InitialStateAngles
-) -> ResidueFactors:
-    """Items 1-4 of the squared residue norm at the branch's pole for k."""
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
-    _require_interior(k)
-    arr = np.array([k], dtype=float)
-    item1, item2, item3, item4, x = _item_arrays(arr, branch, phi, init)
-    return ResidueFactors(
-        item1=float(item1[0]),
-        item2=float(item2[0]),
-        item3=float(item3[0]),
-        item4=float(item4[0]),
-        x=float(x[0]),
-    )
-
-
-def weight_from_residues(x: float, phi: float, init: InitialStateAngles) -> float:
+def weight_from_residues(x, phi: float, init: InitialStateAngles):
     """Pointwise weight at x rebuilt from residues, bypassing the closed form.
 
     The two frequencies in (0, pi) that feed |x| (one per sign of
     sin(k)cos(k)) contribute one residue norm each; their sum is w(x).
-    Defined for 0 < |x| < 1/sqrt(2).
+    Defined for 0 < |x| < 1/sqrt(2); x is a float (float out) or an array
+    (array of the same shape out).
     """
-    if not (0.0 < abs(x) < SUPPORT_RADIUS):
-        raise ValueError(f"need 0 < |x| < 1/sqrt(2), got x={x!r}")
-    u = abs(x)
-    branch = 1 if x > 0.0 else -1
-    cos_mag = u / math.sqrt(1.0 - u * u)
-    k_first = math.acos(cos_mag)  # quadrant I
+    xs = np.asarray(x, dtype=float)
+    u = np.abs(xs)
+    outside = ~((0.0 < u) & (u < SUPPORT_RADIUS))
+    if outside.any():
+        raise ValueError(f"need 0 < |x| < 1/sqrt(2), got x={float(xs[outside][0])!r}")
+    cos_mag = (u / np.sqrt(1.0 - u * u)).ravel()
+    # math.acos, not np.arccos: they differ in the last bit for ~9 % of arguments
+    k_first = np.array([math.acos(c) for c in cos_mag.tolist()])  # quadrant I
     k_second = math.pi - k_first  # quadrant II
-    total = 0.0
-    for k in (k_first, k_second):
-        factors = residue_factors(k, branch, phi, init)
-        total += factors.product()
-    return total
+    _require_interior(np.concatenate((k_first, k_second)))
+    total = np.empty_like(cos_mag)
+    positive = xs.ravel() > 0.0
+    for branch, sel in ((1, positive), (-1, ~positive)):
+        m = int(sel.sum())
+        k = np.concatenate((k_first[sel], k_second[sel]))
+        item1, item2, item3, item4, _ = _item_arrays(k, branch, phi, init)
+        norms = item1 * item2 * item3 * item4
+        total[sel] = norms[:m] + norms[m:]
+    return _like(x, total.reshape(xs.shape))
 
 
 def density_via_k_integration(

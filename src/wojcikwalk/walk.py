@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -103,6 +104,12 @@ class AmplitudeField:
 
     ``amplitudes`` has shape (2, 2t+1); row 0 holds left movers, row 1 right
     movers, and column ``origin_offset`` is lattice site 0.
+
+    Parity invariant: after t steps only the sites x with x = t (mod 2) can
+    hold amplitude, so every state that ``evolve``, ``step`` and
+    ``path_sum_field`` produce has exact zeros in its odd columns.  ``step``
+    relies on this: it reads only the even columns and refuses a state
+    with anything in the odd ones.
     """
 
     amplitudes: np.ndarray
@@ -143,38 +150,71 @@ class Distribution:
         return float(self.prob[x + t])
 
 
-def _advance(src: np.ndarray, dst: np.ndarray, defect: complex) -> None:
-    """One step: src covers [-t, t], dst covers [-(t+1), t+1], overwritten."""
-    n = src.shape[1]
-    center = n // 2
-    u = (src[0] + src[1]) * _INV_SQRT2
-    v = (src[0] - src[1]) * _INV_SQRT2
-    u[center] *= defect
-    v[center] *= defect
-    dst[0, :n] = u
-    dst[0, n:] = 0.0
-    dst[1, 2:] = v
-    dst[1, :2] = 0.0
+def _advance(rows: np.ndarray, tau: int, defect: complex, diff: np.ndarray) -> None:
+    """One step, in place, on the populated sites only.
+
+    Before the step column j of ``rows`` holds site 2j - tau; after it, site
+    2j - (tau + 1).  A left mover keeps its column and a right mover moves up
+    one, so ``rows`` needs tau + 2 columns, column tau + 1 of row 0 zero.
+    ``diff`` is scratch space of at least tau + 1 entries.
+    """
+    left, right = rows[:, : tau + 1]
+    d = diff[: tau + 1]
+    np.subtract(left, right, out=d)
+    left += right
+    left *= _INV_SQRT2
+    moved = rows[1, 1 : tau + 2]
+    np.multiply(d, _INV_SQRT2, out=moved)
+    rows[1, 0] = 0.0
+    if tau % 2 == 0:  # the origin, column tau/2, is populated at even times only
+        left[tau // 2] *= defect
+        moved[tau // 2] *= defect
+
+
+def _populated_rows(params: WalkParams, t: int, max_steps: int) -> Iterator[np.ndarray]:
+    """Yield the populated sites' amplitudes at times 0, 1, ..., t.
+
+    The yield at time tau is a (2, tau + 1) view whose column j is site
+    2j - tau; the next step overwrites it.  The checks run before anything
+    is allocated.
+    """
+    if t < 0:
+        raise ValueError(f"step count must be nonnegative, got {t!r}")
+    if t > max_steps:
+        raise StepLimitError(f"requested {t} steps, cap is {max_steps}")
+    rows = np.zeros((2, t + 1), dtype=np.complex128)
+    diff = np.empty(t, dtype=np.complex128)
+    rows[:, 0] = params.initial_spinor()
+    defect = params.defect_factor()
+    yield rows[:, :1]
+    for tau in range(t):
+        _advance(rows, tau, defect, diff)
+        yield rows[:, : tau + 2]
 
 
 def step(state: AmplitudeField, phi: float) -> AmplitudeField:
-    """Advance one time step; support grows by one site on each side."""
-    n = state.amplitudes.shape[1]
-    out = np.empty((2, n + 2), dtype=np.complex128)
-    _advance(state.amplitudes, out, cmath.exp(2j * math.pi * phi))
-    return AmplitudeField(out, state.time + 1)
+    """Advance one time step; support grows by one site on each side.
 
-
-def _initial_field(params: WalkParams) -> AmplitudeField:
-    amps = params.initial_spinor().reshape(2, 1)
-    return AmplitudeField(amps, 0)
+    Raises ValueError for a state that breaks the parity invariant of
+    ``AmplitudeField``, since the step reads only the even columns.
+    """
+    if state.amplitudes[:, 1::2].any():
+        raise ValueError("state has amplitude on sites of the wrong parity for its time")
+    tau = state.time
+    rows = np.zeros((2, tau + 2), dtype=np.complex128)
+    rows[:, : tau + 1] = state.amplitudes[:, ::2]
+    diff = np.empty(tau + 1, dtype=np.complex128)
+    _advance(rows, tau, cmath.exp(2j * math.pi * phi), diff)
+    out = np.zeros((2, 2 * tau + 3), dtype=np.complex128)
+    out[:, ::2] = rows
+    return AmplitudeField(out, tau + 1)
 
 
 def evolve(params: WalkParams, t: int, max_steps: int = DEFAULT_MAX_STEPS) -> AmplitudeField:
     """Evolve from the origin spinor for t steps.
 
-    Uses two preallocated buffers of the final width and swaps them each
-    step, writing each destination window fully so no stale values survive.
+    The steps run in place on the t + 1 sites of the populated parity
+    class; the result is scattered into a dense field with zeros between.
 
     Raises
     ------
@@ -182,23 +222,11 @@ def evolve(params: WalkParams, t: int, max_steps: int = DEFAULT_MAX_STEPS) -> Am
         When t exceeds ``max_steps`` (memory guard; the state needs O(t)
         storage).
     """
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t!r}")
-    if t > max_steps:
-        raise StepLimitError(f"requested {t} steps, cap is {max_steps}")
-    if t == 0:
-        return _initial_field(params)
-    width = 2 * t + 1
-    cur = np.zeros((2, width), dtype=np.complex128)
-    nxt = np.zeros((2, width), dtype=np.complex128)
-    cur[:, t] = params.initial_spinor()
-    defect = params.defect_factor()
-    for tau in range(t):
-        src = cur[:, t - tau : t + tau + 1]
-        dst = nxt[:, t - tau - 1 : t + tau + 2]
-        _advance(src, dst, defect)
-        cur, nxt = nxt, cur
-    return AmplitudeField(cur, t)
+    for rows in _populated_rows(params, t, max_steps):
+        pass
+    amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+    amps[:, ::2] = rows
+    return AmplitudeField(amps, t)
 
 
 def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
@@ -214,7 +242,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
     if t > _PATH_SUM_LIMIT:
         raise ValueError(f"path enumeration limited to t <= {_PATH_SUM_LIMIT}")
     if t == 0:
-        return _initial_field(params)
+        return AmplitudeField(params.initial_spinor().reshape(2, 1), 0)
     defect = params.defect_factor()
     alpha, beta = params.initial_spinor()
     out = np.zeros((2, 2 * t + 1), dtype=np.complex128)
@@ -263,23 +291,14 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     Odd and even times are both included; sites with the wrong parity
     contribute exactly zero at those times.  For defect phases that trap the
     walker this approximates the site's share of the localized mass.
+    Raises StepLimitError, before allocating, when T - 1 exceeds
+    ``DEFAULT_MAX_STEPS``.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T!r}")
-    width = 2 * T + 1
-    cur = np.zeros((2, width), dtype=np.complex128)
-    nxt = np.zeros((2, width), dtype=np.complex128)
-    cur[:, T] = params.initial_spinor()
-    defect = params.defect_factor()
-    col = T + x
     acc = 0.0
-    if 0 <= col < width:
-        acc += abs(cur[0, col]) ** 2 + abs(cur[1, col]) ** 2
-    for tau in range(T - 1):
-        src = cur[:, T - tau : T + tau + 1]
-        dst = nxt[:, T - tau - 1 : T + tau + 2]
-        _advance(src, dst, defect)
-        cur, nxt = nxt, cur
-        if 0 <= col < width:
-            acc += abs(cur[0, col]) ** 2 + abs(cur[1, col]) ** 2
+    for tau, rows in enumerate(_populated_rows(params, T - 1, DEFAULT_MAX_STEPS)):
+        if abs(x) <= tau and (x + tau) % 2 == 0:
+            j = (x + tau) // 2
+            acc += abs(rows[0, j]) ** 2 + abs(rows[1, j]) ** 2
     return acc / T

@@ -1,4 +1,8 @@
-"""Shared fixtures: the frozen copy of the package kept with the benchmark."""
+"""Shared fixtures: the frozen copy of the package kept with the benchmark.
+
+Property tests run derandomized and without deadlines, so a run's outcome
+does not depend on the seed or on how busy the machine is.
+"""
 
 import importlib
 import importlib.util
@@ -6,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 FROZEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "frozen" / "wojcikwalk"
 FROZEN_NAME = "wojcikwalk_frozen"

@@ -1,4 +1,4 @@
-"""Tests for the residue route: frequencies, residues, pointwise weight, binned density."""
+"""Tests for the residue route: pointwise weight and binned density."""
 
 import math
 import warnings
@@ -14,69 +14,24 @@ from wojcikwalk import (
     density_via_k_integration,
     fixture,
     integrate_ac,
-    residue_factors,
     weight,
     weight_coefficients,
     weight_from_residues,
-    x_of_k,
 )
 
 S = SUPPORT_RADIUS
 
 
-def interior_ks(n, seed=5):
-    """Frequencies bounded away from the coordinate axes."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        k = float(rng.uniform(0.0, 2.0 * math.pi))
-        if min(abs(math.cos(k)), abs(math.sin(k))) > 1e-3:
-            out.append(k)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# frequencies and abscissae
+# pointwise residue weight
 # ---------------------------------------------------------------------------
-
-
-def test_x_of_k_spot_values():
-    xp, xm = x_of_k(math.pi / 4.0)
-    assert abs(xp - 1.0 / math.sqrt(3.0)) <= 1e-15
-    assert xm == -xp
-    xp2, _ = x_of_k(math.pi / 3.0)
-    assert abs(xp2 - 1.0 / math.sqrt(5.0)) <= 1e-15
-    # decreasing in |cos k| on (0, pi/2), bounded by the support radius
-    ks = np.linspace(0.05, math.pi / 2.0 - 0.05, 30)
-    vals = [x_of_k(float(k))[0] for k in ks]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(0.0 < v < S for v in vals)
 
 
 def test_axis_frequencies_are_rejected():
-    for k in (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi):
-        with pytest.raises(ValueError):
-            residue_factors(k, 1, 0.5, InitialStateAngles(1.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# residues
-# ---------------------------------------------------------------------------
-
-
-def test_residue_factors_shape_and_signs():
-    init = InitialStateAngles(0.6, 0.8, 0.4)
-    for k in interior_ks(20):
-        for branch in (1, -1):
-            factors = residue_factors(k, branch, 0.3, init)
-            for item in (factors.item1, factors.item2, factors.item3, factors.item4):
-                assert math.isfinite(item)
-                assert item >= 0.0
-            assert (factors.x > 0.0) == (branch == 1)
-            assert abs(factors.x) < S
-            assert math.isfinite(factors.product())
-    with pytest.raises(ValueError):
-        residue_factors(1.0, 0, 0.3, init)
+    # |x| this small feeds k within 1e-12 of pi/2, where the sign factors degenerate
+    for x in (1e-13, -1e-13, np.array([0.3, 1e-13])):
+        with pytest.raises(ValueError, match="coordinate axis"):
+            weight_from_residues(x, 0.5, InitialStateAngles(1.0, 0.0))
 
 
 def test_residue_weight_matches_closed_forms():
@@ -107,9 +62,29 @@ def test_residue_weight_matches_coefficients_for_random_configurations():
 
 def test_residue_weight_domain():
     init = InitialStateAngles(1.0, 0.0)
-    for x in (0.0, S, -S, 0.9):
-        with pytest.raises(ValueError):
+    for x in (0.0, S, -S, 0.9, math.nan, np.array([0.2, -0.3, 0.9])):
+        with pytest.raises(ValueError, match="need 0 <"):
             weight_from_residues(x, 0.5, init)
+
+
+def test_array_evaluation_matches_float_calls(frozen):
+    # the array route must give the frozen scalar code's bits point by point,
+    # for both signs of x and in any array shape
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        phi = float(rng.uniform(0.0, 1.0))
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        old_init = frozen.InitialStateAngles(init.a, init.b, init.phi12)
+        xs = rng.uniform(-S + 1e-6, S - 1e-6, (6, 25))
+        got = weight_from_residues(xs, phi, init)
+        assert got.shape == xs.shape
+        want = np.array(
+            [frozen.weight_from_residues(x, phi, old_init) for x in xs.ravel().tolist()]
+        ).reshape(xs.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        single = weight_from_residues(float(xs[0, 0]), phi, init)
+        assert type(single) is float and single == want[0, 0]
 
 
 # ---------------------------------------------------------------------------

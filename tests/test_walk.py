@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wojcikwalk import (
+    DEFAULT_MAX_STEPS,
     AmplitudeField,
     StepLimitError,
     WalkParams,
@@ -24,6 +27,30 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def symmetric_params(phi):
     return WalkParams(phi=phi, a=INV_SQRT2, b=INV_SQRT2, phi1=math.pi / 2.0, phi2=0.0)
+
+
+def random_fields(rng):
+    """WalkParams fields for a random phase and spinor, to build either package's params."""
+    theta = rng.uniform(0.0, math.pi / 2.0)
+    phi1, phi2 = rng.uniform(-3.0, 3.0, 2)
+    return {
+        "phi": float(rng.uniform(0.0, 1.0)),
+        "a": math.cos(theta),
+        "b": math.sin(theta),
+        "phi1": float(phi1),
+        "phi2": float(phi2),
+    }
+
+
+walk_params = st.builds(
+    lambda phi, theta, phi1, phi2: WalkParams(
+        phi=phi, a=math.cos(theta), b=math.sin(theta), phi1=phi1, phi2=phi2
+    ),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, math.pi / 2.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +203,11 @@ def test_amplitude_field_shape_validation():
         AmplitudeField(np.zeros((2, 4), dtype=np.complex128), 2)
     with pytest.raises(ValueError):
         AmplitudeField(np.zeros((2, 3), dtype=np.complex128), -1)
+    # site 0 at time 1 is off the populated parity class, which step would drop
+    off_parity = np.zeros((2, 3), dtype=np.complex128)
+    off_parity[0, 1] = 1.0
+    with pytest.raises(ValueError, match="parity"):
+        step(AmplitudeField(off_parity, 1), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +235,73 @@ def test_step_cap():
         evolve(RIGHT, 11, max_steps=10)
     with pytest.raises(ValueError):
         evolve(RIGHT, -3)
+    # T - 1 steps past the cap: refused before the O(T) buffers are allocated
+    with pytest.raises(StepLimitError):
+        cesaro_average(RIGHT, DEFAULT_MAX_STEPS + 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the frozen reference kernel
+# ---------------------------------------------------------------------------
+
+
+def test_evolve_is_bit_identical_to_frozen(frozen):
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        fields = random_fields(rng)
+        for t in (0, 1, 2, 3, 7, 64, 501):
+            got = evolve(WalkParams(**fields), t)
+            want = frozen.walk.evolve(frozen.walk.WalkParams(**fields), t)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            got_prob = distribution(got).prob.view(np.uint64)
+            want_prob = frozen.walk.distribution(want).prob.view(np.uint64)
+            assert np.array_equal(got_prob, want_prob)
+
+
+def test_step_chain_is_bit_identical_to_frozen(frozen):
+    fields = random_fields(np.random.default_rng(43))
+    state = evolve(WalkParams(**fields), 0)
+    ref = frozen.walk.evolve(frozen.walk.WalkParams(**fields), 0)
+    for _ in range(40):
+        state = step(state, fields["phi"])
+        ref = frozen.walk.step(ref, fields["phi"])
+        assert np.array_equal(state.amplitudes, ref.amplitudes)
+
+
+def test_cesaro_average_is_bit_identical_to_frozen(frozen):
+    rng = np.random.default_rng(47)
+    for _ in range(4):
+        fields = random_fields(rng)
+        for T in (1, 2, 60):
+            for x in (0, 1, -2, 5, T + 3):
+                got = cesaro_average(WalkParams(**fields), T, x)
+                want = frozen.walk.cesaro_average(frozen.walk.WalkParams(**fields), T, x)
+                assert got == want
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries, on generated configurations
+# ---------------------------------------------------------------------------
+
+
+@given(params=walk_params, t=st.integers(0, 300))
+def test_evolution_is_linear_in_the_initial_spinor(params, t):
+    alpha, beta = params.initial_spinor()
+    up = evolve(WalkParams(phi=params.phi, a=1.0, b=0.0), t).amplitudes
+    down = evolve(WalkParams(phi=params.phi, a=0.0, b=1.0), t).amplitudes
+    got = evolve(params, t).amplitudes
+    assert np.max(np.abs(got - (alpha * up + beta * down))) <= 1e-13
+
+
+@given(params=walk_params, t=st.integers(0, 300))
+def test_conjugate_phase_and_spinor_give_the_same_distribution(params, t):
+    # complex conjugation maps the coin exp(2 pi i phi) H to exp(2 pi i (1 - phi)) H
+    conjugate = WalkParams(
+        phi=(1.0 - params.phi) % 1.0, a=params.a, b=params.b, phi1=-params.phi1, phi2=-params.phi2
+    )
+    p = distribution(evolve(params, t)).prob
+    q = distribution(evolve(conjugate, t)).prob
+    assert np.max(np.abs(p - q)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
