@@ -337,3 +337,15 @@ def test_output_matches_frozen_reference(config, frozen, capsys):
         want = run_cli(argv, capsys, main=frozen.cli.main)
         assert want[0] == 0, argv
         assert got == want, argv
+
+
+@pytest.mark.parametrize("config", random_config_args(4, seed=3000))
+def test_long_walk_output_matches_frozen_reference(config, frozen, capsys):
+    # t = 3000 is past the underflow onset (t = 2044), where the walk kernel
+    # drops the front of the light cone; the printed bytes must not change
+    for command in (["simulate", "--steps", "3000"], ["converge", "--steps", "3000"]):
+        argv = command + config
+        got = run_cli(argv, capsys)
+        want = run_cli(argv, capsys, main=frozen.cli.main)
+        assert want[0] == 0, argv
+        assert got == want, argv

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,9 @@ def test_step_cap():
     # T - 1 steps past the cap: refused before the O(T) buffers are allocated
     with pytest.raises(StepLimitError):
         cesaro_average(RIGHT, DEFAULT_MAX_STEPS + 2, 0)
+    # the cap is checked before the answer for a far site is known to be 0
+    with pytest.raises(StepLimitError):
+        cesaro_average(RIGHT, DEFAULT_MAX_STEPS + 2, 10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,45 @@ def test_step_chain_is_bit_identical_to_frozen(frozen):
         state = step(state, fields["phi"])
         ref = frozen.walk.step(ref, fields["phi"])
         assert np.array_equal(state.amplitudes, ref.amplitudes)
+
+
+def subnormal_count(values):
+    parts = np.abs(values.view(np.float64))
+    return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny)))
+
+
+def test_underflow_window_changes_only_negligible_components(frozen):
+    # past t = 2044 the front of the light cone underflows and the window
+    # drops it; rounding then differs only in components far below 1e-280
+    rng = np.random.default_rng(53)
+    for _ in range(4):
+        fields = random_fields(rng)
+        got = evolve(WalkParams(**fields), 3000)
+        want = frozen.walk.evolve(frozen.walk.WalkParams(**fields), 3000)
+        got_prob = distribution(got).prob.view(np.uint64)
+        want_prob = frozen.walk.distribution(want).prob.view(np.uint64)
+        assert np.array_equal(got_prob, want_prob)
+        got_parts = got.amplitudes.view(np.float64)
+        want_parts = want.amplitudes.view(np.float64)
+        large = np.abs(want_parts) >= 1e-280
+        assert np.array_equal(got_parts[large].view(np.uint64), want_parts[large].view(np.uint64))
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-290
+        # the unwindowed kernel keeps hundreds of stuck subnormals; these are zeros now
+        assert subnormal_count(got.amplitudes) * 10 < subnormal_count(want.amplitudes)
+
+
+def test_cesaro_light_cone_is_bit_identical_to_frozen(frozen):
+    # only the backward light cone of (x, T - 1) is stepped; the sites at its
+    # edge, both parities of x + T and the sites past reach all keep their bits
+    rng = np.random.default_rng(59)
+    for _ in range(3):
+        fields = random_fields(rng)
+        for T in (2, 3, 61, 400):
+            edge = {T - 1, T - 2, -(T - 1), -(T - 2)}
+            for x in sorted(edge | {0, 1, -3, T // 2, T, -T - 1}):
+                got = cesaro_average(WalkParams(**fields), T, x)
+                want = frozen.walk.cesaro_average(frozen.walk.WalkParams(**fields), T, x)
+                assert got == want, (T, x)
 
 
 def test_cesaro_average_is_bit_identical_to_frozen(frozen):
@@ -342,6 +385,15 @@ def test_cesaro_average_validation_and_far_sites():
     with pytest.raises(ValueError):
         cesaro_average(RIGHT, 0, 0)
     assert cesaro_average(RIGHT, 3, 10) == 0.0
+    # a site out of reach returns at once: no O(T) buffers, no steps
+    tracemalloc.start()
+    try:
+        assert cesaro_average(RIGHT, DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS) == 0.0
+        assert cesaro_average(RIGHT, DEFAULT_MAX_STEPS, -DEFAULT_MAX_STEPS) == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_cesaro_off_origin_localization_profile():
