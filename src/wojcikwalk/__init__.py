@@ -22,7 +22,6 @@ from .limit import (
     ac_density,
     atom_from_integral,
     atom_mass,
-    example_fixture,
     fixture,
     konno_density,
     match_fixture,
@@ -43,7 +42,7 @@ from .spectral import (
     weight_from_residues,
 )
 from .walk import (
-    DEFAULT_MAX_STEPS,
+    MAX_STEPS,
     AmplitudeField,
     Distribution,
     StepLimitError,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # walk
-    "DEFAULT_MAX_STEPS",
+    "MAX_STEPS",
     "AmplitudeField",
     "Distribution",
     "StepLimitError",
@@ -80,7 +79,6 @@ __all__ = [
     "ac_density",
     "atom_from_integral",
     "atom_mass",
-    "example_fixture",
     "fixture",
     "konno_density",
     "match_fixture",

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .quadrature import SUPPORT_RADIUS, QuadratureConvergenceError, integrate_ac
 
 __all__ = ["RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
 
-ENV_MAX_STEPS = "WOJCIK_MAX_STEPS"
 ATOM_WINDOW = 0.05
 
 _NORMALIZE_WARN = 1e-9
@@ -34,32 +32,28 @@ _NORMALIZE_REJECT = 1e-6
 
 @dataclass
 class RunConfig:
-    """Validated parameters of one CLI invocation."""
+    """Validated parameters of one CLI invocation.
+
+    ``params`` (defect phase and initial spinor) is the one configuration
+    every route reads: the walk takes it as is, and ``limit`` and
+    ``spectral`` take it as their ``init``, reading its ``a``, ``b`` and
+    ``phi12``.
+    """
 
     command: str
-    phi: float
-    init: tuple[float, float, float, float]  # a, phi1, b, phi2
+    params: walk.WalkParams
     steps: int
     output_format: str
     output_path: str | None
     bins: int
     tolerance: float
-    max_steps: int
-
-    def walk_params(self) -> walk.WalkParams:
-        a, phi1, b, phi2 = self.init
-        return walk.WalkParams(phi=self.phi, a=a, b=b, phi1=phi1, phi2=phi2)
-
-    def init_angles(self) -> limit.InitialStateAngles:
-        a, phi1, b, phi2 = self.init
-        return limit.InitialStateAngles.from_phases(a, phi1, b, phi2)
 
     def echo(self) -> dict:
-        a, phi1, b, phi2 = self.init
+        p = self.params
         return {
             "command": self.command,
-            "phi": self.phi,
-            "init": {"a": a, "phi1": phi1, "b": b, "phi2": phi2},
+            "phi": p.phi,
+            "init": {"a": p.a, "phi1": p.phi1, "b": p.b, "phi2": p.phi2},
             "steps": self.steps,
             "bins": self.bins,
             "tolerance": self.tolerance,
@@ -104,19 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_step_cap(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(ENV_MAX_STEPS)
-    if raw is None:
-        return walk.DEFAULT_MAX_STEPS
-    try:
-        cap = int(raw)
-    except ValueError:
-        parser.error(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}")
-    if cap < 1:
-        parser.error(f"{ENV_MAX_STEPS} must be positive, got {cap}")
-    return cap
-
-
 def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -135,9 +116,10 @@ def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, floa
             f"--init is not normalized: a^2 + b^2 deviates from 1 by {deviation:g} "
             f"(rejection threshold {_NORMALIZE_REJECT:g})"
         )
-    if deviation > _NORMALIZE_WARN:
+    if deviation > walk.NORM_TOL:
         norm = math.sqrt(a * a + b * b)
         a, b = a / norm, b / norm
+    if deviation > _NORMALIZE_WARN:
         warnings.warn(
             f"--init off normalization by {deviation:g}; renormalizing", stacklevel=2
         )
@@ -147,28 +129,25 @@ def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, floa
 def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     if not (0.0 <= args.phi < 1.0):
         parser.error(f"--phi must lie in [0, 1), got {args.phi}")
-    init = _parse_init(args.init, parser)
+    a, phi1, b, phi2 = _parse_init(args.init, parser)
     if args.steps < 0:
         parser.error(f"--steps must be nonnegative, got {args.steps}")
     if args.command in ("simulate", "converge") and args.steps < 1:
         parser.error(f"{args.command} needs --steps >= 1 (rescaling by 1/t)")
-    cap = _read_step_cap(parser)
-    if args.steps > cap:
-        parser.error(f"--steps {args.steps} exceeds the step cap {cap} ({ENV_MAX_STEPS})")
+    if args.steps > walk.MAX_STEPS:
+        parser.error(f"--steps {args.steps} exceeds the step cap {walk.MAX_STEPS}")
     if args.bins < 2:
         parser.error(f"--bins must be at least 2, got {args.bins}")
     if not (0.0 < args.tol <= 1e-2):
         parser.error(f"--tol must lie in (0, 1e-2], got {args.tol}")
     return RunConfig(
         command=args.command,
-        phi=args.phi,
-        init=init,
+        params=walk.WalkParams(phi=args.phi, a=a, b=b, phi1=phi1, phi2=phi2),
         steps=args.steps,
         output_format=args.output_format,
         output_path=args.out,
         bins=args.bins,
         tolerance=args.tol,
-        max_steps=cap,
     )
 
 
@@ -232,7 +211,7 @@ def _emit_table(
 
 def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]:
     """Coefficients, continuous integral and atom for the config, shared by commands."""
-    coeffs = limit.weight_coefficients(config.phi, config.init_angles())
+    coeffs = limit.weight_coefficients(config.params.phi, config.params)
     result = integrate_ac(lambda x: limit.ac_density(x, coeffs), config.tolerance)
     return coeffs, result.value, limit.atom_from_integral(result, config.tolerance)
 
@@ -244,9 +223,8 @@ def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]
 
 def cmd_simulate(config: RunConfig) -> int:
     """Rescaled empirical distribution next to the analytic density."""
-    params = config.walk_params()
     t = config.steps
-    state = walk.evolve(params, t, config.max_steps)
+    state = walk.evolve(config.params, t)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config)
     pairs = walk.rescaled_distribution(dist, t)[::2]  # sites of the populated parity class
@@ -277,12 +255,12 @@ def cmd_density(config: RunConfig) -> int:
 
 
 def _verify_checks(config: RunConfig) -> list[dict]:
-    angles = config.init_angles()
-    coeffs = limit.weight_coefficients(config.phi, angles)
+    params = config.params
+    coeffs = limit.weight_coefficients(params.phi, params)
     checks: list[dict] = []
 
     # (i) closed-form reduction, when this configuration is a reference case
-    case_id = limit.match_fixture(config.phi, angles)
+    case_id = limit.match_fixture(params.phi, params)
     if case_id is None:
         checks.append(
             {
@@ -292,7 +270,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
             }
         )
     else:
-        closed = limit.example_fixture(case_id)
+        closed = limit.fixture(case_id).weight_fn
         grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 1000)
         # closed() stays on Python floats: numpy's x**3 can differ in the last bit.
         w = limit.weight(grid, coeffs)
@@ -336,7 +314,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     # (iii) residue route agrees with the closed-form weight pointwise
     grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
     grid = grid[np.abs(grid) > 1e-3]
-    residues = spectral.weight_from_residues(grid, config.phi, angles)
+    residues = spectral.weight_from_residues(grid, params.phi, params)
     worst = float(np.max(np.abs(residues - limit.weight(grid, coeffs))))
     ok = worst <= 1e-9
     checks.append(
@@ -348,9 +326,8 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     )
 
     # (iv) fast evolution equals the exhaustive path sum at small t
-    params = config.walk_params()
     t_small = max(2, min(config.steps, 12))
-    fast = walk.evolve(params, t_small, config.max_steps)
+    fast = walk.evolve(params, t_small)
     brute = walk.path_sum_field(params, t_small)
     diff = float(np.max(np.abs(fast.amplitudes - brute.amplitudes)))
     ok = diff <= 1e-12
@@ -393,9 +370,8 @@ def cmd_converge(config: RunConfig) -> int:
     deviation score, since the localized mass collapses toward 0 in the
     rescaled space and never matches the continuous density.
     """
-    params = config.walk_params()
     t = config.steps
-    state = walk.evolve(params, t, config.max_steps)
+    state = walk.evolve(config.params, t)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config)
 

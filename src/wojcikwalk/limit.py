@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import SUPPORT_RADIUS, QuadratureResult, integrate_ac
+from .walk import NORM_TOL
 
 __all__ = [
     "SUPPORT_RADIUS",
@@ -38,7 +39,6 @@ __all__ = [
     "ac_density",
     "atom_mass",
     "atom_from_integral",
-    "example_fixture",
     "fixture",
     "match_fixture",
     "EXAMPLE_CASE_IDS",
@@ -85,7 +85,7 @@ class InitialStateAngles:
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("amplitude moduli a, b must be nonnegative")
         norm = self.a * self.a + self.b * self.b
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"initial state not normalized: a^2 + b^2 = {norm!r}")
         if not math.isfinite(self.phi12):
             raise ValueError(f"relative phase must be finite, got {self.phi12!r}")
@@ -100,8 +100,7 @@ class WeightCoefficients:
     """All coefficients of the rational weight for one (phi, init) pair.
 
     s0, s1, s2 form the even denominator; the two t-tuples are the numerator
-    coefficients on the x >= 0 and x < 0 branches; a1..a3, b1..b3 are the
-    intermediate initial-state combinations they are built from.
+    coefficients on the x >= 0 and x < 0 branches.
     """
 
     phi: float
@@ -116,12 +115,6 @@ class WeightCoefficients:
     t1_neg: float
     t2_neg: float
     t3_neg: float
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
 
 
 def _like(x, values: np.ndarray):
@@ -155,10 +148,11 @@ def konno_density(x, a: float):
 def weight_coefficients(phi: float, init: InitialStateAngles) -> WeightCoefficients:
     """Evaluate every coefficient of the weight for one configuration.
 
-    Also scans the denominator over the support as a guard against a
-    degenerate configuration (none is known to exist) and checks that the
-    resulting density is nonnegative, since both properties are assumed
-    downstream.
+    ``init`` is any initial spinor with attributes ``a``, ``b`` and
+    ``phi12``: an ``InitialStateAngles`` or a ``walk.WalkParams``.  Also
+    scans the denominator over the support as a guard against a degenerate
+    configuration (none is known to exist) and checks that the resulting
+    density is nonnegative, since both properties are assumed downstream.
     """
     if not (0.0 <= phi < 1.0):
         raise ValueError(f"phi must lie in [0, 1), got {phi!r}")
@@ -209,12 +203,6 @@ def weight_coefficients(phi: float, init: InitialStateAngles) -> WeightCoefficie
         t1_neg=-4.0 * b2 * sinp_sq,
         t2_neg=b1 * cos4 + 8.0 * b3 * sinp_sq * sin2,
         t3_neg=-b2 * cos4,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        b1=b1,
-        b2=b2,
-        b3=b3,
     )
     _validate_on_support(coeffs)
     return coeffs
@@ -385,11 +373,6 @@ def fixture(case_id: str) -> ExampleFixture:
         ) from None
 
 
-def example_fixture(case_id: str) -> Callable[[float], float]:
-    """Closed-form weight function of one reference configuration."""
-    return fixture(case_id).weight_fn
-
-
 def _angle_distance(u: float, v: float) -> float:
     return abs(cmath.phase(cmath.exp(1j * (u - v))))
 
@@ -399,8 +382,9 @@ def match_fixture(
 ) -> str | None:
     """Case id of the reference configuration matching (phi, init), if any.
 
-    The relative phase is compared modulo 2*pi and ignored when either
-    modulus vanishes (it is unobservable there).
+    ``init`` is any spinor with attributes ``a``, ``b`` and ``phi12``, as
+    in ``weight_coefficients``.  The relative phase is compared modulo 2*pi
+    and ignored when either modulus vanishes (it is unobservable there).
     """
     for case in _FIXTURES.values():
         if abs(phi - case.phi) > tol:

@@ -117,7 +117,8 @@ def weight_from_residues(x, phi: float, init: InitialStateAngles):
     The two frequencies in (0, pi) that feed |x| (one per sign of
     sin(k)cos(k)) contribute one residue norm each; their sum is w(x).
     Defined for 0 < |x| < 1/sqrt(2); x is a float (float out) or an array
-    (array of the same shape out).
+    (array of the same shape out).  ``init`` is any spinor with attributes
+    ``a``, ``b`` and ``phi12``, as in ``limit.weight_coefficients``.
     """
     xs = np.asarray(x, dtype=float)
     u = np.abs(xs)

@@ -42,7 +42,8 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_STEPS",
+    "MAX_STEPS",
+    "NORM_TOL",
     "StepLimitError",
     "WalkParams",
     "AmplitudeField",
@@ -58,13 +59,14 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TINY = float(np.finfo(np.float64).tiny)
 
-DEFAULT_MAX_STEPS = 10**6
+MAX_STEPS = 10**6  # memory guard: a walk of t steps holds O(t) amplitudes
+NORM_TOL = 1e-12  # largest |a^2 + b^2 - 1| an initial spinor may have
 
 _PATH_SUM_LIMIT = 20  # 2^t paths; anything larger is not a useful oracle
 
 
 class StepLimitError(RuntimeError):
-    """Requested evolution length exceeds the configured step cap."""
+    """Requested evolution length exceeds the step cap ``MAX_STEPS``."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class WalkParams:
     ``phi`` is the defect phase in units of full turns, so the origin coin
     is exp(2*pi*i*phi) times Hadamard.  The walker starts at the origin in
     the spinor [a*exp(i*phi1), b*exp(i*phi2)] with a, b >= 0 and
-    a^2 + b^2 = 1.
+    a^2 + b^2 = 1 to within ``NORM_TOL``.  This is also the initial spinor
+    of the analytic routes, which read only ``a``, ``b`` and ``phi12``.
     """
 
     phi: float
@@ -89,19 +92,10 @@ class WalkParams:
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("amplitude moduli a, b must be nonnegative")
         norm = self.a * self.a + self.b * self.b
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"initial state not normalized: a^2 + b^2 = {norm!r}")
         if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
             raise ValueError(f"phases must be finite, got phi1={self.phi1!r}, phi2={self.phi2!r}")
-
-    @classmethod
-    def from_spinor(cls, phi: float, alpha: complex, beta: complex) -> "WalkParams":
-        """Build params from raw complex amplitudes (must be normalized)."""
-        a = abs(alpha)
-        b = abs(beta)
-        phi1 = cmath.phase(alpha) if a > 0.0 else 0.0
-        phi2 = cmath.phase(beta) if b > 0.0 else 0.0
-        return cls(phi=phi, a=a, b=b, phi1=phi1, phi2=phi2)
 
     @property
     def phi12(self) -> float:
@@ -123,7 +117,7 @@ class AmplitudeField:
     """Walk state at a fixed time: dense amplitudes over the support [-t, t].
 
     ``amplitudes`` has shape (2, 2t+1); row 0 holds left movers, row 1 right
-    movers, and column ``origin_offset`` is lattice site 0.
+    movers, and column t is lattice site 0.
 
     Parity invariant: after t steps only the sites x with x = t (mod 2) can
     hold amplitude, so every state that ``evolve``, ``step`` and
@@ -149,10 +143,6 @@ class AmplitudeField:
                 f"support of time {self.time} (expected {expected})"
             )
 
-    @property
-    def origin_offset(self) -> int:
-        return self.time
-
     def positions(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1)
 
@@ -166,12 +156,6 @@ class Distribution:
 
     support: np.ndarray
     prob: np.ndarray
-
-    def probability_at(self, x: int) -> float:
-        t = (len(self.support) - 1) // 2
-        if abs(x) > t:
-            return 0.0
-        return float(self.prob[x + t])
 
 
 def _advance(
@@ -205,16 +189,14 @@ def _negligible(rows: np.ndarray, j: int) -> bool:
     return abs(rows.item(0, j)) < _TINY and abs(rows.item(1, j)) < _TINY
 
 
-def _check_steps(t: int, max_steps: int) -> None:
+def _check_steps(t: int) -> None:
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t!r}")
-    if t > max_steps:
-        raise StepLimitError(f"requested {t} steps, cap is {max_steps}")
+    if t > MAX_STEPS:
+        raise StepLimitError(f"requested {t} steps, cap is {MAX_STEPS}")
 
 
-def _populated_rows(
-    params: WalkParams, t: int, max_steps: int, target: int | None = None
-) -> Iterator[np.ndarray]:
+def _populated_rows(params: WalkParams, t: int, target: int | None = None) -> Iterator[np.ndarray]:
     """Yield the populated sites' amplitudes at times 0, 1, ..., t.
 
     The yield at time tau is a (2, tau + 1) view whose column j is site
@@ -225,7 +207,7 @@ def _populated_rows(
     the backward light cone of (target, t), which cannot reach the target
     by time t.  The checks run before anything is allocated.
     """
-    _check_steps(t, max_steps)
+    _check_steps(t)
     if target is None:
         shift, cap = -t, t + 1
     else:  # column j at time s is in the cone iff s + shift <= j < cap
@@ -267,7 +249,7 @@ def step(state: AmplitudeField, phi: float) -> AmplitudeField:
     return AmplitudeField(out, tau + 1)
 
 
-def evolve(params: WalkParams, t: int, max_steps: int = DEFAULT_MAX_STEPS) -> AmplitudeField:
+def evolve(params: WalkParams, t: int) -> AmplitudeField:
     """Evolve from the origin spinor for t steps.
 
     The steps run in place on the populated parity class, within the
@@ -277,10 +259,9 @@ def evolve(params: WalkParams, t: int, max_steps: int = DEFAULT_MAX_STEPS) -> Am
     Raises
     ------
     StepLimitError
-        When t exceeds ``max_steps`` (memory guard; the state needs O(t)
-        storage).
+        When t exceeds ``MAX_STEPS``, before anything is allocated.
     """
-    for rows in _populated_rows(params, t, max_steps):
+    for rows in _populated_rows(params, t):
         pass
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     amps[:, ::2] = rows
@@ -352,15 +333,15 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     the backward light cone of (x, T - 1) is stepped, which gives the same
     bits as the whole walk at about half the work; |x| >= T returns 0.0
     without stepping.  Raises StepLimitError, before allocating, when T - 1
-    exceeds ``DEFAULT_MAX_STEPS``.
+    exceeds ``MAX_STEPS``.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T!r}")
-    _check_steps(T - 1, DEFAULT_MAX_STEPS)
+    _check_steps(T - 1)
     if abs(x) >= T:  # the walker never reaches x within T - 1 steps
         return 0.0
     acc = 0.0
-    for tau, rows in enumerate(_populated_rows(params, T - 1, DEFAULT_MAX_STEPS, x)):
+    for tau, rows in enumerate(_populated_rows(params, T - 1, x)):
         if abs(x) <= tau and (x + tau) % 2 == 0:
             j = (x + tau) // 2
             acc += abs(rows[0, j]) ** 2 + abs(rows[1, j]) ** 2

@@ -5,11 +5,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from wojcikwalk import cli
+from wojcikwalk import cli, walk
 
 
 def run_cli(argv, capsys, main=cli.main):
@@ -254,22 +255,32 @@ def test_slightly_denormalized_init_warns_and_runs(capsys):
     assert code == 0
 
 
-def test_step_cap_env_is_enforced(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_STEPS, "50")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["simulate", "--steps", "60"])
-    assert excinfo.value.code == 2
-    monkeypatch.setenv(cli.ENV_MAX_STEPS, "200")
-    code, _, _ = run_cli(["simulate", "--steps", "60"], capsys)
+@pytest.mark.parametrize(
+    "init",
+    [
+        "1.0000000001,0,0,0",  # squared norm off by 2e-10
+        "0.70710678118,0,0.70710678118,0",  # 11 digits: off by 6e-11
+    ],
+)
+def test_init_within_warning_threshold_runs_silently(init, capsys):
+    # below the 1e-9 warning threshold --init is renormalized without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["verify", "--init", init, "--steps", "4"], capsys)
     assert code == 0
+    assert out.splitlines()[-1] == "OK"
 
 
-def test_step_cap_env_must_be_a_positive_integer(capsys, monkeypatch):
-    for bad in ("abc", "0", "-5"):
-        monkeypatch.setenv(cli.ENV_MAX_STEPS, bad)
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["simulate", "--steps", "4"])
-        assert excinfo.value.code == 2
+@pytest.mark.parametrize("command", ["simulate", "density", "verify", "converge"])
+def test_steps_above_the_cap_exit_two(command, capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked past the step cap")
+
+    monkeypatch.setattr(cli.walk, "evolve", no_walk)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--steps", str(walk.MAX_STEPS + 1)])
+    assert excinfo.value.code == 2
+    assert f"step cap {walk.MAX_STEPS}" in capsys.readouterr().err
 
 
 def test_output_file_writing(tmp_path, capsys):

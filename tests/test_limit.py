@@ -13,7 +13,6 @@ from wojcikwalk import (
     ac_density,
     atom_from_integral,
     atom_mass,
-    example_fixture,
     fixture,
     integrate_ac,
     konno_density,
@@ -161,7 +160,7 @@ def test_weight_reduces_to_closed_forms():
     grid = np.linspace(-S + 1e-3, S - 1e-3, 201)
     for case_id in EXAMPLE_CASE_IDS:
         coeffs = coefficients_for(case_id)
-        closed = example_fixture(case_id)
+        closed = fixture(case_id).weight_fn
         worst = max(abs(weight(float(x), coeffs) - closed(float(x))) for x in grid)
         assert worst <= 1e-12, case_id
 
@@ -312,8 +311,6 @@ def test_fixture_lookup_and_unknown_id():
         assert callable(case.weight_fn)
     with pytest.raises(ValueError):
         fixture("no_such_case")
-    with pytest.raises(ValueError):
-        example_fixture("also_missing")
 
 
 def test_match_fixture_recognizes_all_cases():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wojcikwalk import (
-    DEFAULT_MAX_STEPS,
+    MAX_STEPS,
     AmplitudeField,
     StepLimitError,
     WalkParams,
@@ -70,16 +70,6 @@ def test_params_validation():
         WalkParams(phi=0.3, a=0.8, b=0.8)
 
 
-def test_params_from_spinor_roundtrip():
-    alpha = 0.6 * cmath.exp(0.31j)
-    beta = 0.8 * cmath.exp(-1.2j)
-    params = WalkParams.from_spinor(0.3, alpha, beta)
-    spinor = params.initial_spinor()
-    assert abs(spinor[0] - alpha) <= 1e-15
-    assert abs(spinor[1] - beta) <= 1e-15
-    assert abs(params.phi12 - (0.31 + 1.2)) <= 1e-15
-
-
 @pytest.mark.parametrize(
     "fields",
     [
@@ -104,11 +94,12 @@ def test_one_step_splits_evenly_for_any_phase():
     for phi in (0.0, 0.25, 0.5, 0.77):
         state = evolve(WalkParams(phi=phi, a=1.0, b=0.0), 1)
         dist = distribution(state)
-        assert abs(dist.probability_at(-1) - 0.5) <= 1e-15
-        assert abs(dist.probability_at(1) - 0.5) <= 1e-15
-        assert dist.probability_at(0) == 0.0
-        # the left mover carries the origin coin phase
-        left = state.amplitudes[0, state.origin_offset - 1]
+        p_left, p_origin, p_right = dist.prob  # sites -1, 0, 1
+        assert abs(p_left - 0.5) <= 1e-15
+        assert abs(p_right - 0.5) <= 1e-15
+        assert p_origin == 0.0
+        # the left mover at site -1 carries the origin coin phase
+        left = state.amplitudes[0, 0]
         assert abs(left - cmath.exp(2j * math.pi * phi) * INV_SQRT2) <= 1e-15
 
 
@@ -117,16 +108,15 @@ def test_two_step_distribution_for_any_phase():
     # still global and the distribution equals the plain Hadamard one
     for phi in (0.0, 0.3, 0.5):
         dist = distribution(evolve(WalkParams(phi=phi, a=1.0, b=0.0), 2))
-        assert abs(dist.probability_at(-2) - 0.25) <= 1e-15
-        assert abs(dist.probability_at(0) - 0.5) <= 1e-15
-        assert abs(dist.probability_at(2) - 0.25) <= 1e-15
+        for x, p in {-2: 0.25, 0: 0.5, 2: 0.25}.items():
+            assert abs(dist.prob[x + 2] - p) <= 1e-15
 
 
 def test_three_step_hadamard_values():
     dist = distribution(evolve(RIGHT, 3))
     want = {-3: 0.125, -1: 0.625, 1: 0.125, 3: 0.125}
     for x, p in want.items():
-        assert abs(dist.probability_at(x) - p) <= 1e-15
+        assert abs(dist.prob[x + 3] - p) <= 1e-15
 
 
 def test_four_step_defect_interference():
@@ -136,8 +126,8 @@ def test_four_step_defect_interference():
     want_plain = {-4: 1 / 16, -2: 5 / 8, 0: 1 / 8, 2: 1 / 8, 4: 1 / 16}
     want_half = {-4: 1 / 16, -2: 1 / 8, 0: 5 / 8, 2: 1 / 8, 4: 1 / 16}
     for x in (-4, -2, 0, 2, 4):
-        assert abs(plain.probability_at(x) - want_plain[x]) <= 1e-12
-        assert abs(half.probability_at(x) - want_half[x]) <= 1e-12
+        assert abs(plain.prob[x + 4] - want_plain[x]) <= 1e-12
+        assert abs(half.prob[x + 4] - want_half[x]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +158,7 @@ def test_parity_sites_are_exactly_empty():
     dist = distribution(state)
     for x in range(-9, 10):
         if (x + 9) % 2 == 1:
-            assert dist.probability_at(x) == 0.0
+            assert dist.prob[x + 9] == 0.0
 
 
 def test_unitarity_long_run():
@@ -193,10 +183,10 @@ def test_symmetric_initial_state_gives_symmetric_distribution():
 
 def test_spinor_and_support_accessors():
     state = evolve(RIGHT, 5)
-    assert state.origin_offset == 5
     assert np.array_equal(state.positions(), np.arange(-5, 6))
     dist = distribution(state)
-    assert dist.probability_at(11) == 0.0
+    assert np.array_equal(dist.support, state.positions())
+    assert dist.prob.shape == (11,)
 
 
 def test_amplitude_field_shape_validation():
@@ -232,16 +222,23 @@ def test_path_sum_refuses_large_t():
 
 
 def test_step_cap():
-    with pytest.raises(StepLimitError):
-        evolve(RIGHT, 11, max_steps=10)
+    # one step past the cap: refused before the O(t) buffers are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepLimitError):
+            evolve(RIGHT, MAX_STEPS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
     with pytest.raises(ValueError):
         evolve(RIGHT, -3)
     # T - 1 steps past the cap: refused before the O(T) buffers are allocated
     with pytest.raises(StepLimitError):
-        cesaro_average(RIGHT, DEFAULT_MAX_STEPS + 2, 0)
+        cesaro_average(RIGHT, MAX_STEPS + 2, 0)
     # the cap is checked before the answer for a far site is known to be 0
     with pytest.raises(StepLimitError):
-        cesaro_average(RIGHT, DEFAULT_MAX_STEPS + 2, 10**7)
+        cesaro_average(RIGHT, MAX_STEPS + 2, 10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +373,7 @@ def test_cesaro_average_equals_direct_mean():
     params = WalkParams(phi=0.5, a=1.0, b=0.0)
     for x in (0, 1, -2):
         direct = np.mean(
-            [distribution(evolve(params, t)).probability_at(x) for t in range(25)]
+            [distribution(evolve(params, t)).prob[x + t] if abs(x) <= t else 0.0 for t in range(25)]
         )
         assert abs(cesaro_average(params, 25, x) - direct) <= 1e-15
 
@@ -388,8 +385,8 @@ def test_cesaro_average_validation_and_far_sites():
     # a site out of reach returns at once: no O(T) buffers, no steps
     tracemalloc.start()
     try:
-        assert cesaro_average(RIGHT, DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS) == 0.0
-        assert cesaro_average(RIGHT, DEFAULT_MAX_STEPS, -DEFAULT_MAX_STEPS) == 0.0
+        assert cesaro_average(RIGHT, MAX_STEPS, MAX_STEPS) == 0.0
+        assert cesaro_average(RIGHT, MAX_STEPS, -MAX_STEPS) == 0.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
