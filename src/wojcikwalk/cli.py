@@ -22,9 +22,10 @@ import numpy as np
 from . import limit, spectral, walk
 from .quadrature import SUPPORT_RADIUS, QuadratureConvergenceError, integrate_ac
 
-__all__ = ["RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
+__all__ = ["MAX_BINS", "RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
 
 ATOM_WINDOW = 0.05
+MAX_BINS = 10**6  # density holds about 0.6 KB per bin: 10^6 bins take ~0.6 GB
 
 _NORMALIZE_WARN = 1e-9
 _NORMALIZE_REJECT = 1e-6
@@ -138,6 +139,8 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--steps {args.steps} exceeds the step cap {walk.MAX_STEPS}")
     if args.bins < 2:
         parser.error(f"--bins must be at least 2, got {args.bins}")
+    if args.bins > MAX_BINS:
+        parser.error(f"--bins {args.bins} exceeds the bin cap {MAX_BINS}")
     if not (0.0 < args.tol <= 1e-2):
         parser.error(f"--tol must lie in (0, 1e-2], got {args.tol}")
     return RunConfig(

@@ -10,26 +10,42 @@ of complex amplitude arrays (left movers, right movers) on the support
 
 with c(y) = exp(2*pi*i*phi) if y = 0 and 1 otherwise, i.e. the coin acts at
 the source site before the shift.  Everything is plain IEEE-754 complex
-arithmetic; unitarity drift stays below 1e-11 out to 10^4 steps.
+arithmetic; unitarity drift stays below 1e-12 out to 10^4 steps (4.1e-13
+measured over 10 random starts).
+
+Two-pass step: the kernel works on the populated sites only and keeps
+unnormalized Hadamard sums, L + R and L - R.  The sum replaces the left
+movers in place, and the difference goes straight into the shifted slot of
+a second right-mover row; the two right-mover rows swap every step.  That
+is two array passes per step instead of four, and one rounding per
+component instead of two.  Each unnormalized step multiplies the state by
+sqrt(2); every 64 steps the window is multiplied by 2^-32, which is exact,
+and ``evolve`` applies the remaining 2^(-pend/2) of the pend pending steps
+once at the end.  Walks of at most 512 steps normalize every step instead
+(four passes), so every output built on a short walk, such as the CLI's
+default runs and the recorded benchmark checksums, keeps the bits it had
+when every walk did.  Against a walk run in np.clongdouble (64-bit
+mantissa) from the same double start, over 8 random starts, the largest
+amplitude error at t = 2000, 4000 and 10^4 is at most 1.6e-15, 3.0e-15 and
+4.6e-15; normalizing every step, it is 9e-14..1.2e-13, 1.8e-13..2.4e-13
+and 4.7e-13..6.2e-13.  Outputs of walks past 512 steps therefore differ
+from per-step normalization in their last digits: at t = 10^4 by at most
+6.2e-13 in an amplitude and 1.1e-12 in a P_t(x), which is the error of
+per-step normalization itself.
 
 Underflow window: the amplitude at the front of the light cone shrinks like
 2^(-t/2) and leaves the normal double range near t = 2044.  Subnormal
 arithmetic is slow, and it rounds the smallest subnormal times 1/sqrt(2)
 back up, so an unwindowed step carries thousands of subnormals whose exact
 values are near 1e-600.  The kernel therefore steps only a window of sites:
-after each step an edge site leaves it once both its amplitudes are below
-the smallest normal double, tiny = 2.2e-308, and holds exact zeros from then
-on.  At most 2t + 2 sites leave in t steps, each moves the state by less
-than sqrt(2) * tiny, and the step is unitary, so in exact arithmetic the
+after each step an edge site leaves it once both its true amplitudes are
+below the smallest normal double, tiny = 2.2e-308 (the unnormalized values
+are compared with tiny * 2^(pend/2)), and holds exact zeros from then on.
+At most 2t + 2 sites leave in t steps, each moves the state by less than
+sqrt(2) * tiny, and the step is unitary, so in exact arithmetic the
 windowed state stays within about 2 * sqrt(2) * t * tiny (6e-304 at
-t = 10^4) of the unwindowed one.  In
-floating point the two also drift apart by rounding: once a component
-differs at all, its later roundings can fall either way, a few ulps of its
-own size.  Over 40 random walks at t = 10^4 no component above 4e-281
-changed, the largest change was 6e-297, and every P_t(x) = |L|^2 + |R|^2
-kept its bits, since the square of a component below 1e-280 underflows to 0
-either way.  Before t = 2044 no site of a normalized start underflows and
-every operation is the unwindowed one.
+t = 10^4) of the unwindowed one.  Before t = 2044 no site of a normalized
+start underflows and every operation is the unwindowed one.
 """
 
 from __future__ import annotations
@@ -58,6 +74,11 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TINY = float(np.finfo(np.float64).tiny)
+_SHORT_WALK = 512  # walks of at most this many steps normalize every step
+_RESCALE_EVERY = 64  # unnormalized steps between exact rescalings; even
+_RESCALE = 2.0 ** (-_RESCALE_EVERY // 2)
+# window thresholds: pend unnormalized steps scale every amplitude by 2^(pend / 2)
+_THRESHOLDS = tuple(_TINY * 2.0 ** (pend / 2) for pend in range(_RESCALE_EVERY))
 
 MAX_STEPS = 10**6  # memory guard: a walk of t steps holds O(t) amplitudes
 NORM_TOL = 1e-12  # largest |a^2 + b^2 - 1| an initial spinor may have
@@ -159,34 +180,38 @@ class Distribution:
 
 
 def _advance(
-    rows: np.ndarray, lo: int, hi: int, tau: int, defect: complex, diff: np.ndarray
+    left: np.ndarray,
+    right: np.ndarray,
+    spare: np.ndarray,
+    lo: int,
+    hi: int,
+    tau: int,
+    defect: complex,
+    normalize: bool,
 ) -> None:
-    """One step, in place, on the active columns ``[lo, hi)`` only.
+    """One step, in place, on the active columns [lo, hi).
 
-    Before the step column j of ``rows`` holds site 2j - tau; after it, site
-    2j - (tau + 1).  A left mover keeps its column and a right mover moves up
-    one, so the active columns become ``[lo, hi + 1)``; columns outside
-    ``[lo, hi)`` must hold zeros.  ``diff`` is scratch space of at least
-    hi - lo entries.
+    Before the step column j holds site 2j - tau; after it, site
+    2j - (tau + 1).  The new right movers L - R go straight into
+    ``spare[lo + 1 : hi + 1]``, one column up, and the new left movers
+    L + R replace ``left[lo:hi]`` in place: two array passes, and the new
+    state is ``left`` and ``spare``.  Unless ``normalize`` is set (two more
+    passes, times 1/sqrt(2)), the step is sqrt(2) times the unitary one.
+    The defect then multiplies the two amplitudes that left site 0, which
+    is column tau // 2 and populated at even tau only.  Columns outside
+    [lo, hi) of ``left`` and ``right`` must hold zeros; ``spare`` is
+    overwritten on [lo, hi + 1).
     """
-    left = rows[0, lo:hi]
-    right = rows[1, lo:hi]
-    d = diff[: hi - lo]
-    np.subtract(left, right, out=d)
-    left += right
-    left *= _INV_SQRT2
-    moved = rows[1, lo + 1 : hi + 1]
-    np.multiply(d, _INV_SQRT2, out=moved)
-    rows[1, lo] = 0.0
-    origin = tau // 2  # column of site 0, populated at even times only
+    np.subtract(left[lo:hi], right[lo:hi], out=spare[lo + 1 : hi + 1])
+    spare[lo] = 0.0
+    left[lo:hi] += right[lo:hi]
+    if normalize:
+        left[lo:hi] *= _INV_SQRT2
+        spare[lo + 1 : hi + 1] *= _INV_SQRT2
+    origin = tau // 2
     if tau % 2 == 0 and lo <= origin < hi:
-        rows[0, origin] *= defect
-        rows[1, origin + 1] *= defect
-
-
-def _negligible(rows: np.ndarray, j: int) -> bool:
-    """Whether both amplitudes of column j are below the smallest normal double."""
-    return abs(rows.item(0, j)) < _TINY and abs(rows.item(1, j)) < _TINY
+        left[origin] *= defect
+        spare[origin + 1] *= defect
 
 
 def _check_steps(t: int) -> None:
@@ -196,56 +221,76 @@ def _check_steps(t: int) -> None:
         raise StepLimitError(f"requested {t} steps, cap is {MAX_STEPS}")
 
 
-def _populated_rows(params: WalkParams, t: int, target: int | None = None) -> Iterator[np.ndarray]:
-    """Yield the populated sites' amplitudes at times 0, 1, ..., t.
+def _populated_rows(
+    params: WalkParams, t: int, target: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield the populated sites' unnormalized amplitudes at times 0, 1, ..., t.
 
-    The yield at time tau is a (2, tau + 1) view whose column j is site
-    2j - tau; the next step overwrites it.  Only the active window of columns
-    is stepped, and every column outside it holds exact zeros.  After each
-    step an edge column leaves the window while both its amplitudes are
-    below ``_TINY``; with a ``target`` site, so does every column outside
-    the backward light cone of (target, t), which cannot reach the target
-    by time t.  The checks run before anything is allocated.
+    The yield at time tau is ``(left, right, pend)``: two length-(t + 1)
+    views whose column j is site 2j - tau (columns past tau hold zeros),
+    and the number of unnormalized steps since the last rescale.  The true
+    amplitudes are the yielded ones times 2^(-pend / 2).  The next step
+    overwrites both views.  Only the active window of columns is stepped,
+    and every column outside it holds exact zeros.  After each step an edge
+    column leaves the window while both its true amplitudes are below
+    ``_TINY``; with a ``target`` site, so does every column outside the
+    backward light cone of (target, t), which cannot reach the target by
+    time t.  The checks run before anything is allocated.
     """
     _check_steps(t)
     if target is None:
         shift, cap = -t, t + 1
     else:  # column j at time s is in the cone iff s + shift <= j < cap
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
-    rows = np.zeros((2, t + 1), dtype=np.complex128)
-    diff = np.empty(t, dtype=np.complex128)
-    rows[:, 0] = params.initial_spinor()
+    rows = np.zeros((3, t + 1), dtype=np.complex128)
+    left, right, spare = rows  # the two right-mover rows swap every step
+    left[0], right[0] = params.initial_spinor()
     defect = params.defect_factor()
-    lo, hi = 0, 1
-    yield rows[:, :1]
+    lo, hi, pend = 0, 1, 0
+    yield left, right, pend
+    short = t <= _SHORT_WALK
     for tau in range(t):
-        _advance(rows, lo, hi, tau, defect, diff)
+        _advance(left, right, spare, lo, hi, tau, defect, short)
+        right, spare = spare, right
         hi += 1
-        while lo < hi and (lo < tau + 1 + shift or _negligible(rows, lo)):
+        if not short:
+            pend += 1
+            if pend == _RESCALE_EVERY:
+                left[lo:hi] *= _RESCALE
+                right[lo:hi] *= _RESCALE
+                pend = 0
+        tiny = _THRESHOLDS[pend]
+        while lo < hi and (
+            lo < tau + 1 + shift or abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny
+        ):
             rows[:, lo] = 0.0
             lo += 1
-        while lo < hi and (hi > cap or _negligible(rows, hi - 1)):
+        while lo < hi and (
+            hi > cap or abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny
+        ):
             hi -= 1
             rows[:, hi] = 0.0
-        yield rows[:, : tau + 2]
+        yield left, right, pend
 
 
 def step(state: AmplitudeField, phi: float) -> AmplitudeField:
     """Advance one time step; support grows by one site on each side.
 
-    Every populated site is stepped: a single step has no underflow window.
-    Raises ValueError for a state that breaks the parity invariant of
+    Every populated site is stepped: a single step has no underflow window,
+    and it is always normalized, so a chain of steps gives the bits of an
+    ``evolve`` of at most 512 steps (see the module docstring).  Raises
+    ValueError for a state that breaks the parity invariant of
     ``AmplitudeField``, since the step reads only the even columns.
     """
     if state.amplitudes[:, 1::2].any():
         raise ValueError("state has amplitude on sites of the wrong parity for its time")
     tau = state.time
-    rows = np.zeros((2, tau + 2), dtype=np.complex128)
-    rows[:, : tau + 1] = state.amplitudes[:, ::2]
-    diff = np.empty(tau + 1, dtype=np.complex128)
-    _advance(rows, 0, tau + 1, tau, cmath.exp(2j * math.pi * phi), diff)
+    rows = np.zeros((3, tau + 2), dtype=np.complex128)
+    rows[:2, : tau + 1] = state.amplitudes[:, ::2]
+    left, right, moved = rows
+    _advance(left, right, moved, 0, tau + 1, tau, cmath.exp(2j * math.pi * phi), True)
     out = np.zeros((2, 2 * tau + 3), dtype=np.complex128)
-    out[:, ::2] = rows
+    out[:, ::2] = rows[::2]
     return AmplitudeField(out, tau + 1)
 
 
@@ -253,18 +298,23 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     """Evolve from the origin spinor for t steps.
 
     The steps run in place on the populated parity class, within the
-    underflow window of the module docstring; the result is scattered into
-    a dense field with zeros between and beyond.
+    underflow window of the module docstring.  Past 512 steps they are the
+    unnormalized two-pass steps, exactly rescaled every 64 steps; the
+    result is then normalized once, by 2^-(pend // 2) for the pend steps
+    still pending and, for odd pend, by 1/sqrt(2).  It is scattered into a
+    dense field with zeros between and beyond.
 
     Raises
     ------
     StepLimitError
         When t exceeds ``MAX_STEPS``, before anything is allocated.
     """
-    for rows in _populated_rows(params, t):
+    for left, right, pend in _populated_rows(params, t):
         pass
+    scale = math.ldexp(_INV_SQRT2 if pend % 2 else 1.0, -(pend // 2))
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-    amps[:, ::2] = rows
+    np.multiply(left, scale, out=amps[0, ::2])
+    np.multiply(right, scale, out=amps[1, ::2])
     return AmplitudeField(amps, t)
 
 
@@ -332,7 +382,9 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     walker this approximates the site's share of the localized mass.  Only
     the backward light cone of (x, T - 1) is stepped, which gives the same
     bits as the whole walk at about half the work; |x| >= T returns 0.0
-    without stepping.  Raises StepLimitError, before allocating, when T - 1
+    without stepping.  Past 512 steps each P_t(x) is read from the
+    unnormalized amplitudes and scaled by 2^-pend, which is exact for odd
+    pend too.  Raises StepLimitError, before allocating, when T - 1
     exceeds ``MAX_STEPS``.
     """
     if T < 1:
@@ -341,8 +393,8 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     if abs(x) >= T:  # the walker never reaches x within T - 1 steps
         return 0.0
     acc = 0.0
-    for tau, rows in enumerate(_populated_rows(params, T - 1, x)):
+    for tau, (left, right, pend) in enumerate(_populated_rows(params, T - 1, x)):
         if abs(x) <= tau and (x + tau) % 2 == 0:
             j = (x + tau) // 2
-            acc += abs(rows[0, j]) ** 2 + abs(rows[1, j]) ** 2
+            acc += math.ldexp(abs(left[j]) ** 2 + abs(right[j]) ** 2, -pend)
     return acc / T

@@ -1,6 +1,8 @@
 """Tests for the exact defect-coin walk evolution and its distributions."""
 
 import cmath
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -24,6 +26,11 @@ from wojcikwalk import (
 
 RIGHT = WalkParams(phi=0.0, a=1.0, b=0.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+TINY = np.finfo(np.float64).tiny
+
+needs_extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="np.longdouble has no 64-bit mantissa here"
+)
 
 
 def symmetric_params(phi):
@@ -41,6 +48,53 @@ def random_fields(rng):
         "phi1": float(phi1),
         "phi2": float(phi2),
     }
+
+
+def extended_precision_rows(params, t):
+    """Yield an unwindowed walk in np.clongdouble at times 0, 1, ..., t.
+
+    It starts from the same double spinor and defect factor as ``evolve`` and
+    normalizes every step, so it is the exact walk to about 1e-19.  The yield
+    at time tau is a (2, tau + 1) view, column j holding site 2j - tau.
+    """
+    inv_sqrt2 = 1 / np.sqrt(np.longdouble(2))
+    defect = np.clongdouble(params.defect_factor())
+    rows = np.zeros((2, t + 1), dtype=np.clongdouble)
+    rows[:, 0] = params.initial_spinor()
+    yield rows[:, :1]
+    for tau in range(t):
+        left, right = rows[0, : tau + 1], rows[1, : tau + 1]
+        diff = (left - right) * inv_sqrt2
+        left += right
+        left *= inv_sqrt2
+        rows[1, 1 : tau + 2] = diff
+        rows[1, 0] = 0
+        if tau % 2 == 0:
+            rows[0, tau // 2] *= defect
+            rows[1, tau // 2 + 1] *= defect
+        yield rows[:, : tau + 2]
+
+
+@functools.lru_cache(maxsize=None)
+def extended_precision_walk(params, times):
+    """Populated amplitudes of the clongdouble walk at each of ``times``."""
+    return {
+        tau: rows.copy()
+        for tau, rows in enumerate(extended_precision_rows(params, max(times)))
+        if tau in times
+    }
+
+
+def extended_precision_error(state, params):
+    """Max |A - A_ld| over the populated sites of an ``evolve`` field."""
+    want = extended_precision_walk(params, ORACLE_TIMES)[state.time]
+    return float(np.max(np.abs(state.amplitudes[:, ::2].astype(np.clongdouble) - want)))
+
+
+ORACLE_TIMES = (10, 64, 513, 2000, 3000, 4000)
+ORACLE_PARAMS = [
+    WalkParams(**random_fields(np.random.default_rng(seed))) for seed in (61, 62, 63)
+]
 
 
 walk_params = st.builds(
@@ -274,24 +328,24 @@ def subnormal_count(values):
     return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny)))
 
 
+@needs_extended_precision
 def test_underflow_window_changes_only_negligible_components(frozen):
     # past t = 2044 the front of the light cone underflows and the window
-    # drops it; rounding then differs only in components far below 1e-280
-    rng = np.random.default_rng(53)
-    for _ in range(4):
-        fields = random_fields(rng)
-        got = evolve(WalkParams(**fields), 3000)
-        want = frozen.walk.evolve(frozen.walk.WalkParams(**fields), 3000)
-        got_prob = distribution(got).prob.view(np.uint64)
-        want_prob = frozen.walk.distribution(want).prob.view(np.uint64)
-        assert np.array_equal(got_prob, want_prob)
-        got_parts = got.amplitudes.view(np.float64)
-        want_parts = want.amplitudes.view(np.float64)
-        large = np.abs(want_parts) >= 1e-280
-        assert np.array_equal(got_parts[large].view(np.uint64), want_parts[large].view(np.uint64))
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-290
-        # the unwindowed kernel keeps hundreds of stuck subnormals; these are zeros now
-        assert subnormal_count(got.amplitudes) * 10 < subnormal_count(want.amplitudes)
+    # drops it: every amplitude it left at zero is below the smallest normal
+    # double in the unwindowed extended-precision walk
+    for params in ORACLE_PARAMS:
+        got = evolve(params, 3000)
+        want = extended_precision_walk(params, ORACLE_TIMES)[3000]
+        dropped = got.amplitudes[:, ::2] == 0
+        assert dropped.any()
+        assert np.max(np.abs(want[dropped])) < TINY
+        assert extended_precision_error(got, params) <= 1e-14
+        # the unwindowed kernel keeps hundreds of stuck subnormals; these are
+        # zeros now.  A window threshold that ignored the pending 2^(pend / 2)
+        # of the unnormalized steps would keep about 40.
+        ref = frozen.walk.evolve(frozen.walk.WalkParams(**dataclasses.asdict(params)), 3000)
+        assert subnormal_count(got.amplitudes) * 10 < subnormal_count(ref.amplitudes)
+        assert subnormal_count(got.amplitudes) <= 10
 
 
 def test_cesaro_light_cone_is_bit_identical_to_frozen(frozen):
@@ -319,6 +373,56 @@ def test_cesaro_average_is_bit_identical_to_frozen(frozen):
                 assert got == want
 
 
+def test_walks_up_to_512_steps_keep_the_frozen_kernel_bits(frozen):
+    # short walks normalize every step, as the frozen kernel does; only
+    # longer ones defer the 1/sqrt(2) of each step
+    fields = random_fields(np.random.default_rng(67))
+    ref_params = frozen.walk.WalkParams(**fields)
+    got = evolve(WalkParams(**fields), 512)
+    assert np.array_equal(got.amplitudes, frozen.walk.evolve(ref_params, 512).amplitudes)
+    for x in (0, 5, -511, 512):
+        want = frozen.walk.cesaro_average(ref_params, 513, x)
+        assert cesaro_average(WalkParams(**fields), 513, x) == want, x
+
+
+# ---------------------------------------------------------------------------
+# accuracy against an extended-precision walk
+# ---------------------------------------------------------------------------
+
+
+@needs_extended_precision
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_evolve_matches_extended_precision_walk(params):
+    # the oracle agrees with the independent sum over paths
+    brute = path_sum_field(params, 10).amplitudes[:, ::2]
+    assert np.max(np.abs(brute - extended_precision_walk(params, ORACLE_TIMES)[10])) <= 1e-15
+    # walks past 512 steps round once per step, not twice; the
+    # parent kernel, which normalizes every step, is off by 7.6e-14 to
+    # 2.2e-13 at t = 2000 and 4000
+    for t in (64, 513, 2000, 4000):
+        assert extended_precision_error(evolve(params, t), params) <= 1e-14, t
+
+
+@needs_extended_precision
+def test_long_cesaro_average_matches_extended_precision_walk():
+    # past 512 steps the light-cone walk is unnormalized and P is scaled back
+    # by an exact power of two; T - 1 = 513, 576, 699 leave 1, 0 and 59
+    # steps pending since the last rescale.  The relative bound also holds
+    # at the front of the light cone, where P is 1e-157 to 1e-214.
+    for params in ORACLE_PARAMS:
+        for T in (514, 577, 700):
+            xs = sorted({T - 1, T - 2, -(T - 1), -(T - 2), 0, 1, -3, T // 2, -(T // 3)})
+            sums = dict.fromkeys(xs, np.longdouble(0))
+            for tau, rows in enumerate(extended_precision_rows(params, T - 1)):
+                for x in xs:
+                    if abs(x) <= tau and (x + tau) % 2 == 0:
+                        j = (x + tau) // 2
+                        sums[x] += abs(rows[0, j]) ** 2 + abs(rows[1, j]) ** 2
+            for x in xs:
+                want = sums[x] / T
+                assert abs(cesaro_average(params, T, x) - want) <= 1e-14 * want, (T, x)
+
+
 # ---------------------------------------------------------------------------
 # exact symmetries, on generated configurations
 # ---------------------------------------------------------------------------
@@ -331,6 +435,19 @@ def test_evolution_is_linear_in_the_initial_spinor(params, t):
     down = evolve(WalkParams(phi=params.phi, a=0.0, b=1.0), t).amplitudes
     got = evolve(params, t).amplitudes
     assert np.max(np.abs(got - (alpha * up + beta * down))) <= 1e-13
+
+
+@given(params=walk_params, t=st.integers(0, 1000))
+def test_mirrored_spinor_gives_the_mirrored_distribution(params, t):
+    # reflecting x -> -x swaps the movers, and under the Hadamard coin the
+    # start [alpha, beta] becomes [beta, -alpha]; t up to 1000 also covers
+    # the unnormalized steps of walks past 512 steps
+    mirrored = WalkParams(
+        phi=params.phi, a=params.b, b=params.a, phi1=params.phi2, phi2=params.phi1 + math.pi
+    )
+    p = distribution(evolve(params, t)).prob
+    q = distribution(evolve(mirrored, t)).prob
+    assert np.max(np.abs(p - q[::-1])) <= 1e-13
 
 
 @given(params=walk_params, t=st.integers(0, 300))
