@@ -25,7 +25,7 @@ from .quadrature import SUPPORT_RADIUS, QuadratureConvergenceError, integrate_ac
 __all__ = ["MAX_BINS", "RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
 
 ATOM_WINDOW = 0.05
-MAX_BINS = 10**6  # density holds about 0.6 KB per bin: 10^6 bins take ~0.6 GB
+MAX_BINS = 10**6  # density holds about 0.4 KB per bin: 10^6 bins take ~0.4 GB
 
 _NORMALIZE_WARN = 1e-9
 _NORMALIZE_REJECT = 1e-6
@@ -162,15 +162,6 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 _FLOAT = "%.17g"
 
 
-def _format_rows(rows: list[list[float]]) -> list[str]:
-    """CSV lines of the data rows, shared by the checksum and the CSV body."""
-    return [",".join([_FLOAT] * len(row)) % tuple(row) for row in rows]
-
-
-def _checksum(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -179,37 +170,39 @@ def _emit(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def _emit_csv(
-    config: RunConfig,
-    header: str,
-    row_lines: list[str],
-    meta_lines: list[str],
-) -> None:
-    lines = [f"# {line}" for line in meta_lines] + [header] + row_lines
-    _emit("\n".join(lines) + "\n", config.output_path)
-
-
-def _emit_json(config: RunConfig, metadata: dict, rows: list, columns: list[str]) -> None:
-    payload = {
-        "config": config.echo(),
-        "metadata": {**metadata, "columns": columns},
-        "rows": rows,
-    }
+def _emit_json(config: RunConfig, metadata: dict, rows: list) -> None:
+    payload = {"config": config.echo(), "metadata": metadata, "rows": rows}
     _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
 
 
 def _emit_table(
-    config: RunConfig, header: str, rows: list[list[float]], meta_pairs: list[tuple[str, float]]
+    config: RunConfig,
+    header: str,
+    table: np.ndarray | list[list[float]],
+    meta_pairs: list[tuple[str, float]],
+    csv_meta: bool = True,
 ) -> None:
-    """Rows with their metadata and checksum: '# key=value' lines in CSV, keys in JSON."""
-    lines = _format_rows(rows)
-    checksum = _checksum(lines)
+    """Rows with their metadata and checksum: '# key=value' lines in CSV, keys in JSON.
+
+    ``table`` holds one row per line (an array or a list of rows).  The CSV
+    body is formatted by one ``%`` over the flat row values, and the
+    checksum is the SHA-256 of that body.  ``csv_meta=False`` leaves the
+    metadata and checksum out of the CSV output.
+    """
+    columns = header.split(",")
+    table = np.asarray(table, dtype=float).reshape(-1, len(columns))
+    row_format = ",".join([_FLOAT] * len(columns))
+    body = "\n".join([row_format] * len(table)) % tuple(table.ravel().tolist())
+    checksum = hashlib.sha256(body.encode("ascii")).hexdigest()
     if config.output_format == "csv":
-        meta_lines = [f"{k}={_FLOAT % v}" for k, v in meta_pairs] + [f"checksum={checksum}"]
-        _emit_csv(config, header, lines, meta_lines)
+        lines = []
+        if csv_meta:
+            lines = [f"# {k}={_FLOAT % v}" for k, v in meta_pairs] + [f"# checksum={checksum}"]
+        lines += [header, body] if len(table) else [header]
+        _emit("\n".join(lines) + "\n", config.output_path)
     else:
-        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(rows)}
-        _emit_json(config, metadata, rows, header.split(","))
+        metadata = {**dict(meta_pairs), "checksum": checksum, "rows": len(table), "columns": columns}
+        _emit_json(config, metadata, table.tolist())
 
 
 def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]:
@@ -231,13 +224,9 @@ def cmd_simulate(config: RunConfig) -> int:
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config)
     pairs = walk.rescaled_distribution(dist, t)[::2]  # sites of the populated parity class
-    rows = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs))).tolist()
-    lines = _format_rows(rows)
-    if config.output_format == "csv":
-        _emit_csv(config, "x_over_t,scaled_prob,density", lines, [])
-    else:
-        metadata = {"C": atom, "integral": integral, "checksum": _checksum(lines), "rows": len(rows)}
-        _emit_json(config, metadata, rows, ["x_over_t", "scaled_prob", "density"])
+    table = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs)))
+    meta_pairs = [("C", atom), ("integral", integral)]
+    _emit_table(config, "x_over_t,scaled_prob,density", table, meta_pairs, csv_meta=False)
     return 0
 
 
@@ -247,13 +236,12 @@ def cmd_density(config: RunConfig) -> int:
     width = 2.0 * SUPPORT_RADIUS / config.bins
     x = -SUPPORT_RADIUS + (np.arange(config.bins) + 0.5) * width
     columns = (x, limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS), limit.ac_density(x, coeffs))
-    rows = np.column_stack(columns).tolist()
     meta_pairs = [
         ("C", atom),
         ("integral", integral),
         ("total", atom + integral),
     ]
-    _emit_table(config, "x,w,f_K,density", rows, meta_pairs)
+    _emit_table(config, "x,w,f_K,density", np.column_stack(columns), meta_pairs)
     return 0
 
 
@@ -349,12 +337,8 @@ def cmd_verify(config: RunConfig) -> int:
     checks = _verify_checks(config)
     failed = [c for c in checks if c["status"] == "fail"]
     if config.output_format == "json":
-        payload = {
-            "config": config.echo(),
-            "metadata": {"passed": not failed, "checks": len(checks), "failed": len(failed)},
-            "rows": checks,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
+        metadata = {"passed": not failed, "checks": len(checks), "failed": len(failed)}
+        _emit_json(config, metadata, checks)
     else:
         lines = [
             f"{check['status'].upper():7s} {check['name']}: {check['detail']}"

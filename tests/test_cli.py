@@ -238,6 +238,12 @@ def test_converge_json_deviation_adds_up(capsys):
         ["density", "--init", "0.6,inf,0.8,0"],
         ["simulate", "--init", "1,0,0,-inf"],
         ["verify", "--init", "inf,0,0,0"],
+        ["density", "--phi", "nan"],
+        ["density", "--phi", "inf"],
+        ["density", "--phi=-inf"],
+        ["density", "--tol", "nan"],
+        ["density", "--tol", "inf"],
+        ["density", "--tol=-inf"],
     ],
 )
 def test_invalid_arguments_exit_two(argv, capsys):
@@ -361,6 +367,22 @@ def test_output_matches_frozen_reference(config, frozen, capsys):
         want = run_cli(argv, capsys, main=frozen.cli.main)
         assert want[0] == 0, argv
         assert got == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--steps", "20", "--bins", "2"],  # every bin meets the atom window: no rows
+        ["converge", "--steps", "20", "--bins", "2", "--format", "json"],
+        ["density", "--bins", "2"],
+        ["simulate", "--steps", "200", "--phi", "0.3", "--init", "0.6,0.1,0.8,-0.4", "--format", "json"],
+    ],
+)
+def test_table_edge_cases_match_frozen_reference(argv, frozen, capsys):
+    got = run_cli(argv, capsys)
+    want = run_cli(argv, capsys, main=frozen.cli.main)
+    assert want[0] == 0
+    assert got == want
 
 
 # walk-derived columns of each table: simulate's t * P, converge's bin masses

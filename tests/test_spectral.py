@@ -1,5 +1,6 @@
 """Tests for the residue route: pointwise weight and binned density."""
 
+import cmath
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from wojcikwalk import (
+    EXAMPLE_CASE_IDS,
     CoarseKGridWarning,
     InitialStateAngles,
     SUPPORT_RADIUS,
@@ -118,6 +120,64 @@ def test_binned_density_mirror_symmetry_for_symmetric_state():
     case = fixture("halfphase_sym")
     binned = density_via_k_integration(case.phi, case.init, n_k=10**5, bins=40)
     assert np.max(np.abs(binned.masses - binned.masses[::-1])) <= 1e-12
+
+
+def four_quadrant_masses(phi, init, n_k, bins):
+    """Bin masses from every frequency of the grid, each quadrant evaluated on its own.
+
+    The pole factor carries the signs of cos k and sin k through
+    z = cos(theta) + i sin(theta) at the pole, as the residue construction
+    states it, with no folding between quadrants.
+    """
+    n_k = 4 * math.ceil(n_k / 4)
+    dk = 2.0 * math.pi / n_k
+    k = (np.arange(n_k) + 0.5) * dk
+    c, s = np.cos(k), np.sin(k)
+    u = np.abs(c) / np.sqrt(1.0 + c * c)
+    omega = cmath.exp(2j * math.pi * phi)
+    alpha, beta = init.a * cmath.exp(1j * init.phi12), init.b
+    masses = np.zeros(bins)
+    for branch in (1, -1):
+        x = branch * u
+        cos_t = -branch * np.sign(c) / np.sqrt(2.0 * (1.0 - x * x))
+        sin_t = np.sign(s) * np.sqrt((1.0 - 2.0 * x * x) / (2.0 * (1.0 - x * x)))
+        root = u / np.sqrt(1.0 - u * u)
+        f = np.sign(cos_t) * (cos_t + 1j * sin_t) * (math.sqrt(2.0) * np.abs(cos_t) - root)
+        denom = 1.0 - math.sqrt(2.0) * omega * f + omega * omega * f * f
+        lead = alpha if branch == 1 else beta
+        spinor = alpha - branch * beta - math.sqrt(2.0) * omega * lead * f
+        norm = x * x / np.abs(denom) ** 2 * 0.5 * np.abs(spinor) ** 2 * 2.0 / (1.0 + branch * x)
+        where = np.clip(((x + S) / (2.0 * S / bins)).astype(int), 0, bins - 1)
+        masses += np.bincount(where, weights=norm * dk / (2.0 * math.pi), minlength=bins)
+    return masses
+
+
+def test_quadrant_fold_matches_four_quadrant_loop():
+    # the fold evaluates a quarter of the grid; the masses may change in
+    # their last bits only (measured: 1.1e-14 on hadamard_sym, whose edge
+    # bins sum ~10^4 near-equal deposits)
+    configs = [(fixture(case).phi, fixture(case).init) for case in EXAMPLE_CASE_IDS]
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        configs.append((float(rng.uniform(0.0, 1.0)), init))
+    for phi, init in configs:
+        for n_k, bins in ((10**5, 40), (10**5 + 2, 41)):
+            got = density_via_k_integration(phi, init, n_k, bins).masses
+            want = four_quadrant_masses(phi, init, n_k, bins)
+            assert np.max(np.abs(got - want)) <= 1e-13, (phi, init, n_k)
+
+
+def test_undersampling_counts_every_quadrant():
+    # at n_k = 10^4 the emptiest bin receives 44 samples of the whole grid
+    # with 200 bins and 28 with 300 (of the quadrant-I samples: 11 and 7)
+    case = fixture("halfphase_10")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CoarseKGridWarning)
+        density_via_k_integration(case.phi, case.init, n_k=10**4, bins=200)
+    with pytest.warns(CoarseKGridWarning, match="only 28 samples"):
+        density_via_k_integration(case.phi, case.init, n_k=10**4, bins=300)
 
 
 def test_grid_rounding_avoids_axes():
