@@ -22,6 +22,7 @@ from wojcikwalk import (
     path_sum_field,
     rescaled_distribution,
     step,
+    walk,
 )
 
 RIGHT = WalkParams(phi=0.0, a=1.0, b=0.0)
@@ -421,6 +422,72 @@ def test_long_cesaro_average_matches_extended_precision_walk():
             for x in xs:
                 want = sums[x] / T
                 assert abs(cesaro_average(params, T, x) - want) <= 1e-14 * want, (T, x)
+
+
+# ---------------------------------------------------------------------------
+# one basis walk per phase and length
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [513, 2000, 3001, 4000])
+def test_kernel_walk_from_down_is_the_signed_mirror_of_the_walk_from_up(t):
+    # sigma = [[0, 1], [-1, 0]] gives sigma H sigma^-1 = -H and the defect
+    # sits at the mirror-invariant origin, so at time tau the walk from
+    # [0, 1] is (-1)^(tau + 1) times the walk from [1, 0] with column j of
+    # (L, R) moved to column tau - j of (R, -L).  Rounding and the
+    # underflow window are mirror-symmetric too, so every yield agrees
+    # value for value (a zero may differ in sign).  Long walks in evolve
+    # are built on this.
+    for phi in (0.0, 0.37, 0.5, 0.913):
+        up = walk._populated_rows(WalkParams(phi=phi, a=1.0, b=0.0), t)
+        down = walk._populated_rows(WalkParams(phi=phi, a=0.0, b=1.0), t)
+        for tau, ((left, right, pend), (m_left, m_right, m_pend)) in enumerate(zip(up, down)):
+            sign = 1.0 if tau % 2 else -1.0
+            assert m_pend == pend
+            assert np.array_equal(m_left[: tau + 1], sign * right[tau::-1]), (phi, tau)
+            assert np.array_equal(m_right[: tau + 1], -sign * left[tau::-1]), (phi, tau)
+            assert not m_left[tau + 1 :].any() and not m_right[tau + 1 :].any()
+        assert tau == t
+
+
+@pytest.mark.parametrize("t", [577, 2000])
+def test_long_walk_bits_do_not_depend_on_the_cache(t):
+    rng = np.random.default_rng(71)
+    fields = random_fields(rng)
+    params = WalkParams(**fields)
+    other = WalkParams(**{**random_fields(rng), "phi": fields["phi"]})
+    walk._basis_walk.cache_clear()
+    cold = evolve(params, t).amplitudes.view(np.uint64).copy()
+    evolve(other, t)
+    warm = evolve(params, t)
+    assert np.array_equal(warm.amplitudes.view(np.uint64), cold)
+    # a returned field is the caller's own: the cached basis is not in it
+    warm.amplitudes[:] = 7.0
+    assert np.array_equal(evolve(params, t).amplitudes.view(np.uint64), cold)
+
+
+def test_long_walks_run_the_kernel_once_per_phase_and_length(monkeypatch):
+    runs = []
+    kernel = walk._populated_rows
+
+    def counting(params, t, target=None):
+        runs.append((params.phi, t))
+        return kernel(params, t, target)
+
+    monkeypatch.setattr(walk, "_populated_rows", counting)
+    walk._basis_walk.cache_clear()
+    rng = np.random.default_rng(73)
+    for _ in range(8):
+        evolve(WalkParams(**{**random_fields(rng), "phi": 0.37}), 2000)
+    assert runs == [(0.37, 2000)]
+    evolve(WalkParams(**{**random_fields(rng), "phi": 0.5}), 2000)
+    evolve(WalkParams(**{**random_fields(rng), "phi": 0.5}), 2001)
+    assert runs[1:] == [(0.5, 2000), (0.5, 2001)]
+    # short walks are run from their own spinor, one kernel run per call
+    del runs[:]
+    for _ in range(3):
+        evolve(WalkParams(**{**random_fields(rng), "phi": 0.5}), 512)
+    assert runs == [(0.5, 512)] * 3
 
 
 # ---------------------------------------------------------------------------
