@@ -99,18 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, float, float, float]:
-    parts = text.split(",")
+def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """The validated configuration; a broken rule exits 2 through ``parser.error``.
+
+    The spinor and phase rules are ``WalkParams``'s own.  --init is
+    renormalized when a^2 + b^2 is off by more than ``NORM_TOL``, with a
+    warning past 1e-9, and refused past 1e-6.
+    """
+    parts = args.init.split(",")
     if len(parts) != 4:
-        parser.error(f"--init needs four comma-separated numbers a,phi1,b,phi2, got {text!r}")
+        parser.error(f"--init needs four comma-separated numbers a,phi1,b,phi2, got {args.init!r}")
     try:
         a, phi1, b, phi2 = (float(p) for p in parts)
     except ValueError:
-        parser.error(f"--init components must be numeric, got {text!r}")
-    if not all(math.isfinite(v) for v in (a, phi1, b, phi2)):
-        parser.error(f"--init components must be finite, got {text!r}")
-    if a < 0.0 or b < 0.0:
-        parser.error("--init moduli a and b must be nonnegative")
+        parser.error(f"--init components must be numeric, got {args.init!r}")
     deviation = abs(a * a + b * b - 1.0)
     if deviation > _NORMALIZE_REJECT:
         parser.error(
@@ -120,17 +122,12 @@ def _parse_init(text: str, parser: argparse.ArgumentParser) -> tuple[float, floa
     if deviation > walk.NORM_TOL:
         norm = math.sqrt(a * a + b * b)
         a, b = a / norm, b / norm
+    try:
+        params = walk.WalkParams(phi=args.phi, a=a, b=b, phi1=phi1, phi2=phi2)
+    except ValueError as exc:
+        parser.error(f"--phi/--init: {exc}")
     if deviation > _NORMALIZE_WARN:
-        warnings.warn(
-            f"--init off normalization by {deviation:g}; renormalizing", stacklevel=2
-        )
-    return a, phi1, b, phi2
-
-
-def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if not (0.0 <= args.phi < 1.0):
-        parser.error(f"--phi must lie in [0, 1), got {args.phi}")
-    a, phi1, b, phi2 = _parse_init(args.init, parser)
+        warnings.warn(f"--init off normalization by {deviation:g}; renormalizing", stacklevel=2)
     if args.steps < 0:
         parser.error(f"--steps must be nonnegative, got {args.steps}")
     if args.command in ("simulate", "converge") and args.steps < 1:
@@ -145,7 +142,7 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--tol must lie in (0, 1e-2], got {args.tol}")
     return RunConfig(
         command=args.command,
-        params=walk.WalkParams(phi=args.phi, a=a, b=b, phi1=phi1, phi2=phi2),
+        params=params,
         steps=args.steps,
         output_format=args.output_format,
         output_path=args.out,
@@ -205,11 +202,11 @@ def _emit_table(
         _emit_json(config, metadata, table.tolist())
 
 
-def _measure(config: RunConfig) -> tuple[limit.WeightCoefficients, float, float]:
-    """Coefficients, continuous integral and atom for the config, shared by commands."""
-    coeffs = limit.weight_coefficients(config.params.phi, config.params)
-    result = integrate_ac(lambda x: limit.ac_density(x, coeffs), config.tolerance)
-    return coeffs, result.value, limit.atom_from_integral(result, config.tolerance)
+def _measure(params: walk.WalkParams, tol: float) -> tuple[limit.WeightCoefficients, float, float]:
+    """Coefficients, continuous integral and atom at tolerance ``tol``, shared by commands."""
+    coeffs = limit.weight_coefficients(params.phi, params)
+    result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
+    return coeffs, result.value, limit.atom_from_integral(result, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def cmd_simulate(config: RunConfig) -> int:
     t = config.steps
     state = walk.evolve(config.params, t)
     dist = walk.distribution(state)
-    coeffs, integral, atom = _measure(config)
+    coeffs, integral, atom = _measure(config.params, config.tolerance)
     pairs = walk.rescaled_distribution(dist, t)[::2]  # sites of the populated parity class
     table = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs)))
     meta_pairs = [("C", atom), ("integral", integral)]
@@ -232,10 +229,11 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_density(config: RunConfig) -> int:
     """Analytic weight, base density and their product on a uniform grid."""
-    coeffs, integral, atom = _measure(config)
+    coeffs, integral, atom = _measure(config.params, config.tolerance)
     width = 2.0 * SUPPORT_RADIUS / config.bins
     x = -SUPPORT_RADIUS + (np.arange(config.bins) + 0.5) * width
-    columns = (x, limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS), limit.ac_density(x, coeffs))
+    w, f_k = limit.weight(x, coeffs), limit.konno_density(x, SUPPORT_RADIUS)
+    columns = (x, w, f_k, w * f_k)  # every midpoint is inside the support
     meta_pairs = [
         ("C", atom),
         ("integral", integral),
@@ -247,11 +245,12 @@ def cmd_density(config: RunConfig) -> int:
 
 def _verify_checks(config: RunConfig) -> list[dict]:
     params = config.params
-    coeffs = limit.weight_coefficients(params.phi, params)
+    tol = max(config.tolerance, 1e-10)
+    coeffs, integral, atom = _measure(params, tol)
     checks: list[dict] = []
 
     # (i) closed-form reduction, when this configuration is a reference case
-    case_id = limit.match_fixture(params.phi, params)
+    case_id = limit.match_fixture(params)
     if case_id is None:
         checks.append(
             {
@@ -276,28 +275,25 @@ def _verify_checks(config: RunConfig) -> list[dict]:
         )
 
     # (ii) atom plus continuous integral is a probability decomposition
-    tol = max(config.tolerance, 1e-10)
-    result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
-    atom_raw = 1.0 - result.value
-    atom = limit.atom_from_integral(result, tol)
+    atom_raw = 1.0 - integral
     budget = max(1e-8, config.tolerance)
     problems = []
-    if abs(atom + result.value - 1.0) > budget:
-        problems.append(f"C + integral = {atom + result.value!r}")
+    if abs(atom + integral - 1.0) > budget:
+        problems.append(f"C + integral = {atom + integral!r}")
     if not (-budget <= atom_raw <= 1.0 + budget):
         problems.append(f"raw atom {atom_raw!r} outside [0, 1]")
     if case_id is not None:
         ref = limit.fixture(case_id)
         if abs(atom - ref.atom) > budget:
             problems.append(f"atom {atom!r} != reference {ref.atom!r}")
-        if abs(result.value - ref.ac_integral) > budget:
-            problems.append(f"integral {result.value!r} != reference {ref.ac_integral!r}")
+        if abs(integral - ref.ac_integral) > budget:
+            problems.append(f"integral {integral!r} != reference {ref.ac_integral!r}")
     checks.append(
         {
             "name": "mass_decomposition",
             "status": "pass" if not problems else "fail",
             "detail": "; ".join(problems) if problems else (
-                f"C = {atom:.12g}, integral = {result.value:.12g}, sum = {atom + result.value:.12g}"
+                f"C = {atom:.12g}, integral = {integral:.12g}, sum = {atom + integral:.12g}"
             ),
         }
     )
@@ -360,7 +356,7 @@ def cmd_converge(config: RunConfig) -> int:
     t = config.steps
     state = walk.evolve(config.params, t)
     dist = walk.distribution(state)
-    coeffs, integral, atom = _measure(config)
+    coeffs, integral, atom = _measure(config.params, config.tolerance)
 
     bins = config.bins
     edges = np.linspace(-SUPPORT_RADIUS, SUPPORT_RADIUS, bins + 1)

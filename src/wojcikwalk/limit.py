@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import SUPPORT_RADIUS, QuadratureResult, integrate_ac
-from .walk import NORM_TOL
+from .walk import WalkParams, _check_spinor
 
 __all__ = [
     "SUPPORT_RADIUS",
@@ -52,6 +52,9 @@ _COEFF_ZERO = 1e-20
 # Relative cancellation threshold for the denominator; see weight().
 _DEGENERATE_RTOL = 1e-12
 
+# match_fixture's tolerance on the phase, the moduli and the relative phase.
+_MATCH_TOL = 1e-9
+
 
 class DegenerateDenominatorError(ArithmeticError):
     """The weight denominator vanished away from the removable x = 0 point.
@@ -70,11 +73,10 @@ class DegenerateDenominatorError(ArithmeticError):
 
 @dataclass(frozen=True)
 class InitialStateAngles:
-    """Initial spinor in the form (a, b, phi12).
+    """Initial spinor in the form (a, b, phi12), under ``WalkParams``'s rules.
 
-    a and b are the moduli of the two components, phi12 their relative
-    phase.  The limit measure only ever sees this combination; a global
-    phase drops out.
+    Superseded by ``walk.WalkParams``, which every route takes; kept only
+    for the benchmark, which builds one with ``from_phases``.
     """
 
     a: float
@@ -82,13 +84,7 @@ class InitialStateAngles:
     phi12: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("amplitude moduli a, b must be nonnegative")
-        norm = self.a * self.a + self.b * self.b
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"initial state not normalized: a^2 + b^2 = {norm!r}")
-        if not math.isfinite(self.phi12):
-            raise ValueError(f"relative phase must be finite, got {self.phi12!r}")
+        _check_spinor(self.a, self.b, phi12=self.phi12)
 
     @classmethod
     def from_phases(cls, a: float, phi1: float, b: float, phi2: float) -> "InitialStateAngles":
@@ -145,11 +141,11 @@ def konno_density(x, a: float):
     )
 
 
-def weight_coefficients(phi: float, init: InitialStateAngles) -> WeightCoefficients:
+def weight_coefficients(phi: float, init: WalkParams) -> WeightCoefficients:
     """Evaluate every coefficient of the weight for one configuration.
 
-    ``init`` is any initial spinor with attributes ``a``, ``b`` and
-    ``phi12``: an ``InitialStateAngles`` or a ``walk.WalkParams``.  Also
+    Of the initial spinor ``init`` only ``a``, ``b`` and ``phi12`` are
+    read, since a global phase drops out of the limit measure.  Also
     scans the denominator over the support as a guard against a degenerate
     configuration (none is known to exist) and checks that the resulting
     density is nonnegative, since both properties are assumed downstream.
@@ -307,8 +303,7 @@ class ExampleFixture:
     """One reference configuration and its externally known values."""
 
     case_id: str
-    phi: float
-    init: InitialStateAngles
+    params: WalkParams
     weight_fn: Callable[[float], float]
     ac_integral: float
     atom: float
@@ -341,22 +336,19 @@ def _w_quarterphase_10(x):
     return num / (x * x + 4.0)
 
 
-def _w_quarterphase_sym(x):
-    return 3.0 * x * x / (4.0 + x * x)
-
-
-_SYM_INIT = InitialStateAngles(a=SUPPORT_RADIUS, b=SUPPORT_RADIUS, phi12=math.pi / 2.0)
-_RIGHT_INIT = InitialStateAngles(a=1.0, b=0.0, phi12=0.0)
+_RIGHT = (1.0, 0.0)  # a, b
+_SYM = (SUPPORT_RADIUS, SUPPORT_RADIUS, math.pi / 2.0)  # a, b, phi1
 
 _FIXTURES: dict[str, ExampleFixture] = {
     f.case_id: f
     for f in (
-        ExampleFixture("hadamard_10", 0.0, _RIGHT_INIT, _w_hadamard_10, 1.0, 0.0),
-        ExampleFixture("hadamard_sym", 0.0, _SYM_INIT, _w_hadamard_sym, 1.0, 0.0),
-        ExampleFixture("halfphase_10", 0.5, _RIGHT_INIT, _w_halfphase_10, 0.2, 0.8),
-        ExampleFixture("halfphase_sym", 0.5, _SYM_INIT, _w_halfphase_sym, 0.2, 0.8),
-        ExampleFixture("quarterphase_10", 0.25, _RIGHT_INIT, _w_quarterphase_10, 0.6, 0.4),
-        ExampleFixture("quarterphase_sym", 0.25, _SYM_INIT, _w_quarterphase_sym, 0.2, 0.8),
+        ExampleFixture("hadamard_10", WalkParams(0.0, *_RIGHT), _w_hadamard_10, 1.0, 0.0),
+        ExampleFixture("hadamard_sym", WalkParams(0.0, *_SYM), _w_hadamard_sym, 1.0, 0.0),
+        ExampleFixture("halfphase_10", WalkParams(0.5, *_RIGHT), _w_halfphase_10, 0.2, 0.8),
+        ExampleFixture("halfphase_sym", WalkParams(0.5, *_SYM), _w_halfphase_sym, 0.2, 0.8),
+        ExampleFixture("quarterphase_10", WalkParams(0.25, *_RIGHT), _w_quarterphase_10, 0.6, 0.4),
+        # the same weight as at phi = 1/2: 3x^2 / (4 + x^2)
+        ExampleFixture("quarterphase_sym", WalkParams(0.25, *_SYM), _w_halfphase_sym, 0.2, 0.8),
     )
 }
 
@@ -373,25 +365,20 @@ def fixture(case_id: str) -> ExampleFixture:
         ) from None
 
 
-def _angle_distance(u: float, v: float) -> float:
-    return abs(cmath.phase(cmath.exp(1j * (u - v))))
+def match_fixture(params: WalkParams) -> str | None:
+    """Case id of the reference configuration matching ``params``, if any.
 
-
-def match_fixture(
-    phi: float, init: InitialStateAngles, tol: float = 1e-9
-) -> str | None:
-    """Case id of the reference configuration matching (phi, init), if any.
-
-    ``init`` is any spinor with attributes ``a``, ``b`` and ``phi12``, as
-    in ``weight_coefficients``.  The relative phase is compared modulo 2*pi
-    and ignored when either modulus vanishes (it is unobservable there).
+    Phase and moduli match to within ``_MATCH_TOL``.  The relative phase is
+    compared modulo 2*pi and ignored when either modulus vanishes (it is
+    unobservable there); a global phase is ignored too.
     """
     for case in _FIXTURES.values():
-        if abs(phi - case.phi) > tol:
+        ref = case.params
+        if abs(params.phi - ref.phi) > _MATCH_TOL:
             continue
-        if abs(init.a - case.init.a) > tol or abs(init.b - case.init.b) > tol:
+        if abs(params.a - ref.a) > _MATCH_TOL or abs(params.b - ref.b) > _MATCH_TOL:
             continue
-        phase_free = min(init.a, init.b) <= tol
-        if phase_free or _angle_distance(init.phi12, case.init.phi12) <= tol:
+        phase_free = min(params.a, params.b) <= _MATCH_TOL
+        if phase_free or abs(cmath.phase(cmath.exp(1j * (params.phi12 - ref.phi12)))) <= _MATCH_TOL:
             return case.case_id
     return None

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit import InitialStateAngles, _like
+from .limit import _like
 from .quadrature import SUPPORT_RADIUS
+from .walk import WalkParams
 
 __all__ = [
     "CoarseKGridWarning",
@@ -94,7 +95,7 @@ def _ballistic_pole(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residue_norm(
-    u: np.ndarray, f: np.ndarray, branch: int, phi: float, init: InitialStateAngles
+    u: np.ndarray, f: np.ndarray, branch: int, phi: float, init: WalkParams
 ) -> np.ndarray:
     """Product of items 1-4 for the residue depositing at x = branch * u."""
     omega = cmath.exp(2j * math.pi * phi)
@@ -112,14 +113,14 @@ def _residue_norm(
     return item1 * item2 * item3 * item4
 
 
-def weight_from_residues(x, phi: float, init: InitialStateAngles):
+def weight_from_residues(x, phi: float, init: WalkParams):
     """Pointwise weight at x rebuilt from residues, bypassing the closed form.
 
     The two frequencies in (0, pi) that feed |x| (one per sign of
     sin(k)cos(k)) contribute one residue norm each; their sum is w(x).
     Defined for 0 < |x| < 1/sqrt(2); x is a float (float out) or an array
-    (array of the same shape out).  ``init`` is any spinor with attributes
-    ``a``, ``b`` and ``phi12``, as in ``limit.weight_coefficients``.
+    (array of the same shape out).  Of ``init`` only ``a``, ``b`` and
+    ``phi12`` are read, as in ``limit.weight_coefficients``.
     """
     xs = np.asarray(x, dtype=float)
     u = np.abs(xs)
@@ -147,7 +148,7 @@ def weight_from_residues(x, phi: float, init: InitialStateAngles):
 
 def density_via_k_integration(
     phi: float,
-    init: InitialStateAngles,
+    init: WalkParams,
     n_k: int,
     bins: int,
 ) -> BinnedDensity:

@@ -244,12 +244,28 @@ def test_converge_json_deviation_adds_up(capsys):
         ["density", "--tol", "nan"],
         ["density", "--tol", "inf"],
         ["density", "--tol=-inf"],
+        ["density", "--init", "0.6,0,-0.8,0"],  # unit norm, negative b
     ],
 )
 def test_invalid_arguments_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["density", "--phi", "1.2"], "phi must lie in [0, 1)"),
+        (["density", "--init", "1,nan,0,0"], "phases must be finite"),
+        (["density", "--init", "0.6,0,-0.8,0"], "a, b must be nonnegative"),
+    ],
+)
+def test_invalid_configuration_names_the_broken_rule(argv, rule, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert rule in capsys.readouterr().err
 
 
 def test_slightly_denormalized_init_warns_and_runs(capsys):

@@ -1,5 +1,6 @@
 """Tests for the analytic weak-limit measure: weight, base density, atom."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,15 +11,18 @@ from wojcikwalk import (
     InitialStateAngles,
     QuadratureResult,
     SUPPORT_RADIUS,
+    WalkParams,
     ac_density,
     atom_from_integral,
     atom_mass,
+    density_via_k_integration,
     fixture,
     integrate_ac,
     konno_density,
     match_fixture,
     weight,
     weight_coefficients,
+    weight_from_residues,
 )
 
 S = SUPPORT_RADIUS
@@ -37,16 +41,17 @@ REFERENCE_MASSES = {
 
 def coefficients_for(case_id):
     case = fixture(case_id)
-    return weight_coefficients(case.phi, case.init)
+    return weight_coefficients(case.params.phi, case.params)
 
 
 def random_configurations(n, seed):
-    """(phi, init) pairs with uniform phase and a random normalized spinor."""
+    """(phi, params) pairs with uniform phase and a random normalized spinor."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
-        yield float(rng.uniform(0.0, 1.0)), init
+        phi12 = float(rng.uniform(-3, 3))
+        phi = float(rng.uniform(0.0, 1.0))
+        yield phi, WalkParams(phi, math.cos(theta), math.sin(theta), phi12)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +88,13 @@ def test_konno_density_other_scale():
 
 
 def test_denominator_coefficients_for_reference_phases():
-    right = InitialStateAngles(1.0, 0.0)
-    c0 = weight_coefficients(0.0, right)
+    c0 = weight_coefficients(0.0, WalkParams(0.0, 1.0, 0.0))
     assert (c0.s0, c0.s1, c0.s2) == (0.0, 0.0, 1.0)
-    ch = weight_coefficients(0.5, right)
+    ch = weight_coefficients(0.5, WalkParams(0.5, 1.0, 0.0))
     assert abs(ch.s0 - 16.0) <= 1e-12
     assert abs(ch.s1 - 8.0) <= 1e-12
     assert abs(ch.s2 - 1.0) <= 1e-12
-    cq = weight_coefficients(0.25, right)
+    cq = weight_coefficients(0.25, WalkParams(0.25, 1.0, 0.0))
     assert abs(cq.s0) <= 1e-30
     assert abs(cq.s1 - 4.0) <= 1e-12
     assert abs(cq.s2 - 1.0) <= 1e-12
@@ -110,9 +114,9 @@ def test_numerator_coefficients_halfphase_right_start():
 
 def test_phi_validation():
     with pytest.raises(ValueError):
-        weight_coefficients(1.0, InitialStateAngles(1.0, 0.0))
+        weight_coefficients(1.0, WalkParams(0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
-        weight_coefficients(-0.1, InitialStateAngles(1.0, 0.0))
+        weight_coefficients(-0.1, WalkParams(0.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -139,13 +143,40 @@ def test_initial_state_validation():
     assert abs(angles.phi12 - 0.75) <= 1e-15
 
 
+def test_benchmark_constructor_reads_as_the_walk_params():
+    # the benchmark builds its spinor with InitialStateAngles.from_phases;
+    # every analytic route must give it the bits of the WalkParams of the
+    # same four numbers
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    configs = [fixture(c).params for c in EXAMPLE_CASE_IDS]
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi1, phi2 = rng.uniform(-3.0, 3.0, 2)
+        phi = float(rng.uniform(0.0, 1.0))
+        configs.append(WalkParams(phi, math.cos(theta), math.sin(theta), float(phi1), float(phi2)))
+    xs = np.linspace(-S + 1e-3, S - 1e-3, 201)
+    xs = xs[np.abs(xs) > 1e-3]
+    for params in configs:
+        angles = InitialStateAngles.from_phases(params.a, params.phi1, params.b, params.phi2)
+        phi = params.phi
+        for route in (
+            lambda init: dataclasses.astuple(weight_coefficients(phi, init)),
+            lambda init: weight_from_residues(xs, phi, init),
+            lambda init: density_via_k_integration(phi, init, n_k=10**4, bins=40).masses,
+        ):
+            assert np.array_equal(bits(route(angles)), bits(route(params))), params
+
+
 def test_coefficients_well_defined_across_phases():
     # the denominator never vanishes away from x = 0 for any defect phase;
     # construction runs its own support scan and must stay silent
     rng = np.random.default_rng(7)
     for phi in np.linspace(0.01, 0.99, 25):
         theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        init = WalkParams(float(phi), math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
         coeffs = weight_coefficients(float(phi), init)
         assert math.isfinite(weight(0.3, coeffs))
         assert math.isfinite(weight(-0.3, coeffs))
@@ -193,7 +224,7 @@ def test_mirrored_spinor_gives_the_mirrored_weight_and_atom():
     # (measured: 9.3e-16 relative to max w, 5.6e-16 on C)
     xs = np.linspace(-S + 1e-3, S - 1e-3, 401)
     for phi, init in random_configurations(200, seed=53):
-        mirrored = InitialStateAngles(init.b, init.a, -init.phi12 - math.pi)
+        mirrored = WalkParams(phi, init.b, init.a, -init.phi12 - math.pi)
         coeffs, mirrored_coeffs = weight_coefficients(phi, init), weight_coefficients(phi, mirrored)
         w = weight(xs, coeffs)
         assert np.max(np.abs(weight(-xs, mirrored_coeffs) - w)) <= 1e-13 * np.max(w), (phi, init)
@@ -238,7 +269,7 @@ def test_array_evaluation_matches_float_calls(frozen):
 
     The float calls are checked against the frozen scalar implementation too.
     """
-    configs = [(fixture(c).phi, fixture(c).init) for c in EXAMPLE_CASE_IDS]
+    configs = [(fixture(c).params.phi, fixture(c).params) for c in EXAMPLE_CASE_IDS]
     configs += list(random_configurations(3, seed=29))
     for phi, init in configs:
         coeffs = weight_coefficients(phi, init)
@@ -330,19 +361,19 @@ def test_fixture_lookup_and_unknown_id():
 def test_match_fixture_recognizes_all_cases():
     for case_id in EXAMPLE_CASE_IDS:
         case = fixture(case_id)
-        assert match_fixture(case.phi, case.init) == case_id
+        assert match_fixture(case.params) == case_id
 
 
 def test_match_fixture_rejects_other_configurations():
-    assert match_fixture(0.37, InitialStateAngles(1.0, 0.0)) is None
+    assert match_fixture(WalkParams(0.37, 1.0, 0.0)) is None
     # symmetric moduli but wrong relative phase is not the symmetric case
-    off_phase = InitialStateAngles(S, S, 0.0)
-    assert match_fixture(0.5, off_phase) is None
+    assert match_fixture(WalkParams(0.5, S, S)) is None
 
 
 def test_match_fixture_ignores_phase_when_unobservable():
     # with b = 0 the relative phase is a global phase
-    assert match_fixture(0.5, InitialStateAngles(1.0, 0.0, 2.7)) == "halfphase_10"
-    # and the phase is compared modulo a full turn
-    wrapped = InitialStateAngles(S, S, math.pi / 2.0 + 2.0 * math.pi)
-    assert match_fixture(0.5, wrapped) == "halfphase_sym"
+    assert match_fixture(WalkParams(0.5, 1.0, 0.0, 2.7)) == "halfphase_10"
+    # the phase is compared modulo a full turn, and a global phase drops out
+    wrapped = WalkParams(0.5, S, S, math.pi / 2.0 + 2.0 * math.pi)
+    assert match_fixture(wrapped) == "halfphase_sym"
+    assert match_fixture(WalkParams(0.5, S, S, math.pi / 2.0 + 1.3, 1.3)) == "halfphase_sym"

@@ -10,8 +10,8 @@ import pytest
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
     CoarseKGridWarning,
-    InitialStateAngles,
     SUPPORT_RADIUS,
+    WalkParams,
     ac_density,
     density_via_k_integration,
     fixture,
@@ -33,7 +33,7 @@ def test_axis_frequencies_are_rejected():
     # |x| this small feeds k within 1e-12 of pi/2, where the sign factors degenerate
     for x in (1e-13, -1e-13, np.array([0.3, 1e-13])):
         with pytest.raises(ValueError, match="coordinate axis"):
-            weight_from_residues(x, 0.5, InitialStateAngles(1.0, 0.0))
+            weight_from_residues(x, 0.5, WalkParams(0.5, 1.0, 0.0))
 
 
 def test_residue_weight_matches_closed_forms():
@@ -43,7 +43,7 @@ def test_residue_weight_matches_closed_forms():
         for x in xs:
             if abs(x) < 0.02:
                 continue
-            got = weight_from_residues(float(x), case.phi, case.init)
+            got = weight_from_residues(float(x), case.params.phi, case.params)
             assert abs(got - case.weight_fn(float(x))) <= 1e-9, case_id
 
 
@@ -53,7 +53,7 @@ def test_residue_weight_matches_coefficients_for_random_configurations():
     for _ in range(3):
         phi = float(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        init = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
         coeffs = weight_coefficients(phi, init)
         for x in xs:
             if abs(x) < 0.03:
@@ -63,7 +63,7 @@ def test_residue_weight_matches_coefficients_for_random_configurations():
 
 
 def test_residue_weight_domain():
-    init = InitialStateAngles(1.0, 0.0)
+    init = WalkParams(0.5, 1.0, 0.0)
     for x in (0.0, S, -S, 0.9, math.nan, np.array([0.2, -0.3, 0.9])):
         with pytest.raises(ValueError, match="need 0 <"):
             weight_from_residues(x, 0.5, init)
@@ -76,7 +76,7 @@ def test_array_evaluation_matches_float_calls(frozen):
     for _ in range(4):
         phi = float(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
+        init = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
         old_init = frozen.InitialStateAngles(init.a, init.b, init.phi12)
         xs = rng.uniform(-S + 1e-6, S - 1e-6, (6, 25))
         got = weight_from_residues(xs, phi, init)
@@ -96,8 +96,8 @@ def test_array_evaluation_matches_float_calls(frozen):
 
 def test_binned_density_matches_per_bin_integrals():
     case = fixture("halfphase_10")
-    coeffs = weight_coefficients(case.phi, case.init)
-    binned = density_via_k_integration(case.phi, case.init, n_k=10**5, bins=40)
+    coeffs = weight_coefficients(case.params.phi, case.params)
+    binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
     assert binned.masses.shape == (40,)
     assert binned.centers().shape == (40,)
     for lo, hi, mass in zip(binned.bin_edges[:-1], binned.bin_edges[1:], binned.masses):
@@ -109,16 +109,16 @@ def test_binned_density_matches_per_bin_integrals():
 
 def test_binned_density_total_is_continuous_mass():
     case = fixture("halfphase_10")
-    binned = density_via_k_integration(case.phi, case.init, n_k=10**5, bins=40)
+    binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
     assert abs(binned.total() - case.ac_integral) <= 1e-6
     plain = fixture("hadamard_10")
-    full = density_via_k_integration(plain.phi, plain.init, n_k=10**5, bins=40)
+    full = density_via_k_integration(plain.params.phi, plain.params, n_k=10**5, bins=40)
     assert abs(full.total() - 1.0) <= 1e-5
 
 
 def test_binned_density_mirror_symmetry_for_symmetric_state():
     case = fixture("halfphase_sym")
-    binned = density_via_k_integration(case.phi, case.init, n_k=10**5, bins=40)
+    binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
     assert np.max(np.abs(binned.masses - binned.masses[::-1])) <= 1e-12
 
 
@@ -156,12 +156,13 @@ def test_quadrant_fold_matches_four_quadrant_loop():
     # the fold evaluates a quarter of the grid; the masses may change in
     # their last bits only (measured: 1.1e-14 on hadamard_sym, whose edge
     # bins sum ~10^4 near-equal deposits)
-    configs = [(fixture(case).phi, fixture(case).init) for case in EXAMPLE_CASE_IDS]
+    configs = [(fixture(case).params.phi, fixture(case).params) for case in EXAMPLE_CASE_IDS]
     rng = np.random.default_rng(41)
     for _ in range(8):
         theta = rng.uniform(0.0, math.pi / 2.0)
-        init = InitialStateAngles(math.cos(theta), math.sin(theta), rng.uniform(-3, 3))
-        configs.append((float(rng.uniform(0.0, 1.0)), init))
+        phi12 = float(rng.uniform(-3, 3))
+        phi = float(rng.uniform(0.0, 1.0))
+        configs.append((phi, WalkParams(phi, math.cos(theta), math.sin(theta), phi12)))
     for phi, init in configs:
         for n_k, bins in ((10**5, 40), (10**5 + 2, 41)):
             got = density_via_k_integration(phi, init, n_k, bins).masses
@@ -175,14 +176,14 @@ def test_undersampling_counts_every_quadrant():
     case = fixture("halfphase_10")
     with warnings.catch_warnings():
         warnings.simplefilter("error", CoarseKGridWarning)
-        density_via_k_integration(case.phi, case.init, n_k=10**4, bins=200)
+        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=200)
     with pytest.warns(CoarseKGridWarning, match="only 28 samples"):
-        density_via_k_integration(case.phi, case.init, n_k=10**4, bins=300)
+        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=300)
 
 
 def test_grid_rounding_avoids_axes():
     case = fixture("quarterphase_10")
-    binned = density_via_k_integration(case.phi, case.init, n_k=10**4 + 3, bins=20)
+    binned = density_via_k_integration(case.params.phi, case.params, n_k=10**4 + 3, bins=20)
     assert np.all(np.isfinite(binned.masses))
     assert abs(binned.total() - case.ac_integral) <= 1e-3
 
@@ -190,14 +191,14 @@ def test_grid_rounding_avoids_axes():
 def test_coarse_grid_warning():
     case = fixture("halfphase_10")
     with pytest.warns(CoarseKGridWarning):
-        density_via_k_integration(case.phi, case.init, n_k=10**4, bins=400)
+        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=400)
     with warnings.catch_warnings():
         warnings.simplefilter("error", CoarseKGridWarning)
-        density_via_k_integration(case.phi, case.init, n_k=10**5, bins=40)
+        density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
 
 
 def test_grid_parameter_validation():
-    init = InitialStateAngles(1.0, 0.0)
+    init = WalkParams(0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         density_via_k_integration(0.5, init, n_k=9_999, bins=40)
     with pytest.raises(ValueError):
