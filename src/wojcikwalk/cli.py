@@ -36,9 +36,8 @@ class RunConfig:
     """Validated parameters of one CLI invocation.
 
     ``params`` (defect phase and initial spinor) is the one configuration
-    every route reads: the walk takes it as is, and ``limit`` and
-    ``spectral`` take it as their ``init``, reading its ``a``, ``b`` and
-    ``phi12``.
+    every route reads: the walk, ``limit.weight_coefficients`` and
+    ``spectral.weight_from_residues`` all take it as is.
     """
 
     command: str
@@ -175,19 +174,18 @@ def _emit_json(config: RunConfig, metadata: dict, rows: list) -> None:
 def _emit_table(
     config: RunConfig,
     header: str,
-    table: np.ndarray | list[list[float]],
+    table: np.ndarray,
     meta_pairs: list[tuple[str, float]],
     csv_meta: bool = True,
 ) -> None:
     """Rows with their metadata and checksum: '# key=value' lines in CSV, keys in JSON.
 
-    ``table`` holds one row per line (an array or a list of rows).  The CSV
-    body is formatted by one ``%`` over the flat row values, and the
-    checksum is the SHA-256 of that body.  ``csv_meta=False`` leaves the
-    metadata and checksum out of the CSV output.
+    ``table`` holds one row per line.  The CSV body is formatted by one
+    ``%`` over the flat row values, and the checksum is the SHA-256 of that
+    body.  ``csv_meta=False`` leaves the metadata and checksum out of the
+    CSV output.
     """
     columns = header.split(",")
-    table = np.asarray(table, dtype=float).reshape(-1, len(columns))
     row_format = ",".join([_FLOAT] * len(columns))
     body = "\n".join([row_format] * len(table)) % tuple(table.ravel().tolist())
     checksum = hashlib.sha256(body.encode("ascii")).hexdigest()
@@ -204,7 +202,7 @@ def _emit_table(
 
 def _measure(params: walk.WalkParams, tol: float) -> tuple[limit.WeightCoefficients, float, float]:
     """Coefficients, continuous integral and atom at tolerance ``tol``, shared by commands."""
-    coeffs = limit.weight_coefficients(params.phi, params)
+    coeffs = limit.weight_coefficients(params)
     result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
     return coeffs, result.value, limit.atom_from_integral(result, tol)
 
@@ -220,7 +218,7 @@ def cmd_simulate(config: RunConfig) -> int:
     state = walk.evolve(config.params, t)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config.params, config.tolerance)
-    pairs = walk.rescaled_distribution(dist, t)[::2]  # sites of the populated parity class
+    pairs = walk.rescaled_distribution(dist)[::2]  # sites of the populated parity class
     table = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs)))
     meta_pairs = [("C", atom), ("integral", integral)]
     _emit_table(config, "x_over_t,scaled_prob,density", table, meta_pairs, csv_meta=False)
@@ -301,7 +299,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     # (iii) residue route agrees with the closed-form weight pointwise
     grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
     grid = grid[np.abs(grid) > 1e-3]
-    residues = spectral.weight_from_residues(grid, params.phi, params)
+    residues = spectral.weight_from_residues(grid, params)
     worst = float(np.max(np.abs(residues - limit.weight(grid, coeffs))))
     ok = worst <= 1e-9
     checks.append(
@@ -367,36 +365,23 @@ def cmd_converge(config: RunConfig) -> int:
     which = np.clip(((ratios[inside] + SUPPORT_RADIUS) / width).astype(int), 0, bins - 1)
     empirical = np.bincount(which, weights=dist.prob[inside], minlength=bins)
 
-    rows = []
-    total_dev = 0.0
-    kept = 0
-    for i in range(bins):
-        lo, hi = float(edges[i]), float(edges[i + 1])
-        if lo <= ATOM_WINDOW and hi >= -ATOM_WINDOW:
-            continue  # intersects the atom window
-        expected = integrate_ac(
-            lambda x: limit.ac_density(x, coeffs), min(config.tolerance, 1e-9), lo=lo, hi=hi
-        ).value
-        dev = abs(float(empirical[i]) - expected)
-        total_dev += dev
-        kept += 1
-        rows.append(
-            [
-                lo,
-                hi,
-                0.5 * (lo + hi),
-                float(empirical[i]),
-                expected,
-                dev,
-                float(empirical[i]) / width,
-                expected / width,
-            ]
-        )
+    kept = (edges[:-1] > ATOM_WINDOW) | (edges[1:] < -ATOM_WINDOW)  # clear of the atom window
+    lo, hi, mass = edges[:-1][kept], edges[1:][kept], empirical[kept]
+    expected = np.array(
+        [
+            integrate_ac(lambda x: limit.ac_density(x, coeffs), min(config.tolerance, 1e-9), lo=a, hi=b).value
+            for a, b in zip(lo.tolist(), hi.tolist())
+        ]
+    )
+    dev = np.abs(mass - expected)
+    # left to right, as the rows run: np.sum pairs, and builtin sum compensates on Python >= 3.12
+    total_dev = float(np.add.accumulate(dev)[-1]) if dev.size else 0.0
+    rows = np.column_stack((lo, hi, 0.5 * (lo + hi), mass, expected, dev, mass / width, expected / width))
     header = "bin_lo,bin_hi,bin_mid,empirical_mass,expected_mass,abs_dev,empirical_density,expected_density"
     meta_pairs = [
         ("steps", float(t)),
         ("bins", float(bins)),
-        ("kept_bins", float(kept)),
+        ("kept_bins", float(len(rows))),
         ("atom_window", ATOM_WINDOW),
         ("total_abs_deviation", total_dev),
         ("C", atom),
@@ -405,7 +390,7 @@ def cmd_converge(config: RunConfig) -> int:
     _emit_table(config, header, rows, meta_pairs)
     print(
         f"converge: t={t} total_abs_deviation={total_dev:.6g} "
-        f"over {kept} bins (atom window |x/t| <= {ATOM_WINDOW} excluded)",
+        f"over {len(rows)} bins (atom window |x/t| <= {ATOM_WINDOW} excluded)",
         file=sys.stderr,
     )
     return 0

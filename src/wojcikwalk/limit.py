@@ -76,7 +76,8 @@ class InitialStateAngles:
     """Initial spinor in the form (a, b, phi12), under ``WalkParams``'s rules.
 
     Superseded by ``walk.WalkParams``, which every route takes; kept only
-    for the benchmark, which builds one with ``from_phases``.
+    for the benchmark, which builds one with ``from_phases`` and passes it
+    to ``spectral.density_via_k_integration``.
     """
 
     a: float
@@ -93,7 +94,7 @@ class InitialStateAngles:
 
 @dataclass(frozen=True)
 class WeightCoefficients:
-    """All coefficients of the rational weight for one (phi, init) pair.
+    """All coefficients of the rational weight for one configuration.
 
     s0, s1, s2 form the even denominator; the two t-tuples are the numerator
     coefficients on the x >= 0 and x < 0 branches.
@@ -141,20 +142,19 @@ def konno_density(x, a: float):
     )
 
 
-def weight_coefficients(phi: float, init: WalkParams) -> WeightCoefficients:
+def weight_coefficients(params: WalkParams) -> WeightCoefficients:
     """Evaluate every coefficient of the weight for one configuration.
 
-    Of the initial spinor ``init`` only ``a``, ``b`` and ``phi12`` are
-    read, since a global phase drops out of the limit measure.  Also
-    scans the denominator over the support as a guard against a degenerate
+    Of the initial spinor only ``a``, ``b`` and ``phi12`` are read, since a
+    global phase drops out of the limit measure.  Also scans the
+    denominator over the support as a guard against a degenerate
     configuration (none is known to exist) and checks that the resulting
     density is nonnegative, since both properties are assumed downstream.
     """
-    if not (0.0 <= phi < 1.0):
-        raise ValueError(f"phi must lie in [0, 1), got {phi!r}")
-    a = init.a
-    b = init.b
-    p12 = init.phi12
+    phi = params.phi
+    a = params.a
+    b = params.b
+    p12 = params.phi12
 
     two_pi_phi = 2.0 * math.pi * phi
     cos2 = math.cos(two_pi_phi)
@@ -204,10 +204,10 @@ def weight_coefficients(phi: float, init: WalkParams) -> WeightCoefficients:
     return coeffs
 
 
-def _validate_on_support(coeffs: WeightCoefficients, points: int = 401) -> None:
+def _validate_on_support(coeffs: WeightCoefficients) -> None:
     """Reject degenerate denominators and negative densities early."""
     span = SUPPORT_RADIUS - 1e-6
-    x = -span + (2.0 * span) * np.arange(points) / (points - 1)
+    x = -span + (2.0 * span) * np.arange(401) / 400
     w = weight(x, coeffs)  # raises DegenerateDenominatorError itself
     negative = np.flatnonzero(w < -1e-12)
     if negative.size:
@@ -287,8 +287,6 @@ def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
     The integral is evaluated with the endpoint-absorbing quadrature at
     tolerance ``tol``; atom_from_integral clamps the result.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     return atom_from_integral(integrate_ac(lambda x: ac_density(x, coeffs), tol), tol)
 
 

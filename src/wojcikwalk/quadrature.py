@@ -27,7 +27,7 @@ SUPPORT_RADIUS = 1.0 / math.sqrt(2.0)
 
 _PANEL_ORDER = 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-_DEFAULT_BUDGET = 200_000
+_BUDGET = 200_000  # hard cap on integrand evaluations per integral
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ def integrate_ac(
     *,
     lo: float = -SUPPORT_RADIUS,
     hi: float = SUPPORT_RADIUS,
-    max_evaluations: int = _DEFAULT_BUDGET,
 ) -> QuadratureResult:
     """Integrate ``density`` over (lo, hi) inside the open support interval.
 
@@ -125,8 +124,6 @@ def integrate_ac(
     lo, hi : float, optional
         Sub-interval bounds, defaulting to the full support.  Useful for
         per-bin integrals of the same densities.
-    max_evaluations : int, optional
-        Hard cap on integrand evaluations across all refinement levels.
 
     Returns
     -------
@@ -138,7 +135,8 @@ def integrate_ac(
     ValueError
         On an invalid tolerance or interval.
     QuadratureConvergenceError
-        When the budget is exhausted first; carries the partial result.
+        When ``_BUDGET`` evaluations, across all refinement levels, run out
+        first; carries the partial result.
     """
     if not (0.0 < tol <= 1e-2):
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -146,8 +144,6 @@ def integrate_ac(
         raise ValueError(
             f"need -1/sqrt(2) <= lo < hi <= 1/sqrt(2), got lo={lo!r}, hi={hi!r}"
         )
-    if max_evaluations < 4 * _PANEL_ORDER:
-        raise ValueError("max_evaluations too small to form one error estimate")
 
     def transformed(u: np.ndarray) -> np.ndarray:
         x = SUPPORT_RADIUS * np.sin(u)
@@ -167,7 +163,7 @@ def integrate_ac(
     total_used = 0
     for p_lo, p_hi in pieces:
         value, est, used, converged = _refine_piece(
-            transformed, p_lo, p_hi, piece_tol, max_evaluations - total_used
+            transformed, p_lo, p_hi, piece_tol, _BUDGET - total_used
         )
         total += value
         total_err += est
@@ -175,7 +171,7 @@ def integrate_ac(
         if not converged:
             partial = QuadratureResult(total, total_err, total_used)
             raise QuadratureConvergenceError(
-                f"no convergence to tol={tol:g} within {max_evaluations} "
+                f"no convergence to tol={tol:g} within {_BUDGET} "
                 f"evaluations (best estimate {total_err:g})",
                 partial,
             )

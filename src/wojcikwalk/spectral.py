@@ -64,12 +64,6 @@ class BinnedDensity:
     bin_edges: np.ndarray
     masses: np.ndarray
 
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    def total(self) -> float:
-        return float(self.masses.sum())
-
 
 def _require_interior(k: np.ndarray) -> None:
     on_axis = (np.abs(np.cos(k)) < _AXIS_TOL) | (np.abs(np.sin(k)) < _AXIS_TOL)
@@ -113,13 +107,13 @@ def _residue_norm(
     return item1 * item2 * item3 * item4
 
 
-def weight_from_residues(x, phi: float, init: WalkParams):
+def weight_from_residues(x, params: WalkParams):
     """Pointwise weight at x rebuilt from residues, bypassing the closed form.
 
     The two frequencies in (0, pi) that feed |x| (one per sign of
     sin(k)cos(k)) contribute one residue norm each; their sum is w(x).
     Defined for 0 < |x| < 1/sqrt(2); x is a float (float out) or an array
-    (array of the same shape out).  Of ``init`` only ``a``, ``b`` and
+    (array of the same shape out).  Of the spinor only ``a``, ``b`` and
     ``phi12`` are read, as in ``limit.weight_coefficients``.
     """
     xs = np.asarray(x, dtype=float)
@@ -140,9 +134,9 @@ def weight_from_residues(x, phi: float, init: WalkParams):
         (1, positive, f_first.conj(), f_second),
         (-1, ~positive, f_first, f_second.conj()),
     ):
-        total[sel] = _residue_norm(u_first[sel], f1[sel], branch, phi, init) + _residue_norm(
-            u_second[sel], f2[sel], branch, phi, init
-        )
+        total[sel] = _residue_norm(
+            u_first[sel], f1[sel], branch, params.phi, params
+        ) + _residue_norm(u_second[sel], f2[sel], branch, params.phi, params)
     return _like(x, total.reshape(xs.shape))
 
 

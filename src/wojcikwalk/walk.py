@@ -422,16 +422,16 @@ def distribution(state: AmplitudeField) -> Distribution:
     return Distribution(state.positions(), prob.real.astype(float))
 
 
-def rescaled_distribution(dist: Distribution, t: int) -> np.ndarray:
-    """Pairs (x/t, t*P_t(x)) for every site in the support.
+def rescaled_distribution(dist: Distribution) -> np.ndarray:
+    """Pairs (x/t, t*P_t(x)) for every site in the support -t..t.
 
     This is the rescaling under which the walk's position law converges;
-    t = 0 has no rescaled space and is rejected.
+    t is read off the support, and t = 0 has no rescaled space and is
+    rejected.
     """
+    t = len(dist.support) // 2
     if t <= 0:
         raise ValueError("rescaled distribution needs t >= 1")
-    if len(dist.support) != 2 * t + 1:
-        raise ValueError(f"distribution support does not match t={t}")
     return np.column_stack((dist.support / t, t * dist.prob))
 
 

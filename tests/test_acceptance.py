@@ -77,7 +77,7 @@ def kept_bin_mask(edges, window=ATOM_WINDOW):
 def test_criterion_1_continuous_mass_constants():
     for case_id in EXAMPLE_CASE_IDS:
         case = fixture(case_id)
-        coeffs = weight_coefficients(case.params.phi, case.params)
+        coeffs = weight_coefficients(case.params)
         started = time.perf_counter()
         result = integrate_ac(lambda x: ac_density(x, coeffs), 1e-10)
         elapsed = time.perf_counter() - started
@@ -89,7 +89,7 @@ def test_criterion_1_continuous_mass_constants():
 def test_criterion_2_atom_masses():
     for case_id in EXAMPLE_CASE_IDS:
         case = fixture(case_id)
-        coeffs = weight_coefficients(case.params.phi, case.params)
+        coeffs = weight_coefficients(case.params)
         want = EXPECTED_MASSES[case_id][1]
         assert abs(atom_mass(coeffs) - want) <= 1e-8, case_id
 
@@ -100,7 +100,7 @@ def test_criterion_3_closed_form_reduction_on_grid():
     assert len(grid) == 1000
     for case_id in EXAMPLE_CASE_IDS:
         case = fixture(case_id)
-        coeffs = weight_coefficients(case.params.phi, case.params)
+        coeffs = weight_coefficients(case.params)
         worst = max(abs(weight(float(x), coeffs) - case.weight_fn(float(x))) for x in grid)
         assert worst <= 1e-12, f"{case_id}: {worst:.3e}"
 
@@ -202,7 +202,7 @@ def test_criterion_9_symmetry_witnesses(halfphase_walk_10k):
     ratios = dist.support / t
     right = float(dist.prob[(ratios > ATOM_WINDOW) & (ratios < S)].sum())
     left = float(dist.prob[(ratios < -ATOM_WINDOW) & (ratios > -S)].sum())
-    coeffs = weight_coefficients(HALFPHASE.phi, HALFPHASE)
+    coeffs = weight_coefficients(HALFPHASE)
     weight_gap = weight(0.5, coeffs) - weight(-0.5, coeffs)
     assert weight_gap > 0.0
     assert right - left > 0.01  # measurable, same sign as the weight gap

@@ -159,7 +159,7 @@ def test_verify_skips_fixture_check_off_reference(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli.spectral, "weight_from_residues", lambda x, phi, init: 0.123)
+    monkeypatch.setattr(cli.spectral, "weight_from_residues", lambda x, params: 0.123)
     code, out, _ = run_cli(["verify", "--phi", "0.5", "--steps", "4"], capsys)
     assert code == 1
     lines = out.splitlines()
@@ -392,6 +392,7 @@ def test_output_matches_frozen_reference(config, frozen, capsys):
         ["converge", "--steps", "20", "--bins", "2", "--format", "json"],
         ["density", "--bins", "2"],
         ["simulate", "--steps", "200", "--phi", "0.3", "--init", "0.6,0.1,0.8,-0.4", "--format", "json"],
+        ["converge", "--steps", "400", "--phi", "0.3", "--init", "0.6,0.1,0.8,-0.4", "--format", "json"],
     ],
 )
 def test_table_edge_cases_match_frozen_reference(argv, frozen, capsys):

@@ -33,7 +33,7 @@ def test_axis_frequencies_are_rejected():
     # |x| this small feeds k within 1e-12 of pi/2, where the sign factors degenerate
     for x in (1e-13, -1e-13, np.array([0.3, 1e-13])):
         with pytest.raises(ValueError, match="coordinate axis"):
-            weight_from_residues(x, 0.5, WalkParams(0.5, 1.0, 0.0))
+            weight_from_residues(x, WalkParams(0.5, 1.0, 0.0))
 
 
 def test_residue_weight_matches_closed_forms():
@@ -43,7 +43,7 @@ def test_residue_weight_matches_closed_forms():
         for x in xs:
             if abs(x) < 0.02:
                 continue
-            got = weight_from_residues(float(x), case.params.phi, case.params)
+            got = weight_from_residues(float(x), case.params)
             assert abs(got - case.weight_fn(float(x))) <= 1e-9, case_id
 
 
@@ -54,11 +54,11 @@ def test_residue_weight_matches_coefficients_for_random_configurations():
         phi = float(rng.uniform(0.0, 1.0))
         theta = rng.uniform(0.0, math.pi / 2.0)
         init = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
-        coeffs = weight_coefficients(phi, init)
+        coeffs = weight_coefficients(init)
         for x in xs:
             if abs(x) < 0.03:
                 continue
-            got = weight_from_residues(float(x), phi, init)
+            got = weight_from_residues(float(x), init)
             assert abs(got - weight(float(x), coeffs)) <= 1e-8
 
 
@@ -66,7 +66,7 @@ def test_residue_weight_domain():
     init = WalkParams(0.5, 1.0, 0.0)
     for x in (0.0, S, -S, 0.9, math.nan, np.array([0.2, -0.3, 0.9])):
         with pytest.raises(ValueError, match="need 0 <"):
-            weight_from_residues(x, 0.5, init)
+            weight_from_residues(x, init)
 
 
 def test_array_evaluation_matches_float_calls(frozen):
@@ -79,13 +79,13 @@ def test_array_evaluation_matches_float_calls(frozen):
         init = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
         old_init = frozen.InitialStateAngles(init.a, init.b, init.phi12)
         xs = rng.uniform(-S + 1e-6, S - 1e-6, (6, 25))
-        got = weight_from_residues(xs, phi, init)
+        got = weight_from_residues(xs, init)
         assert got.shape == xs.shape
         want = np.array(
             [frozen.weight_from_residues(x, phi, old_init) for x in xs.ravel().tolist()]
         ).reshape(xs.shape)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        single = weight_from_residues(float(xs[0, 0]), phi, init)
+        single = weight_from_residues(float(xs[0, 0]), init)
         assert type(single) is float and single == want[0, 0]
 
 
@@ -96,10 +96,10 @@ def test_array_evaluation_matches_float_calls(frozen):
 
 def test_binned_density_matches_per_bin_integrals():
     case = fixture("halfphase_10")
-    coeffs = weight_coefficients(case.params.phi, case.params)
+    coeffs = weight_coefficients(case.params)
     binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
     assert binned.masses.shape == (40,)
-    assert binned.centers().shape == (40,)
+    assert binned.bin_edges.shape == (41,)
     for lo, hi, mass in zip(binned.bin_edges[:-1], binned.bin_edges[1:], binned.masses):
         want = integrate_ac(
             lambda x: ac_density(x, coeffs), 1e-9, lo=float(lo), hi=float(hi)
@@ -110,10 +110,10 @@ def test_binned_density_matches_per_bin_integrals():
 def test_binned_density_total_is_continuous_mass():
     case = fixture("halfphase_10")
     binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
-    assert abs(binned.total() - case.ac_integral) <= 1e-6
+    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-6
     plain = fixture("hadamard_10")
     full = density_via_k_integration(plain.params.phi, plain.params, n_k=10**5, bins=40)
-    assert abs(full.total() - 1.0) <= 1e-5
+    assert abs(full.masses.sum() - 1.0) <= 1e-5
 
 
 def test_binned_density_mirror_symmetry_for_symmetric_state():
@@ -185,7 +185,7 @@ def test_grid_rounding_avoids_axes():
     case = fixture("quarterphase_10")
     binned = density_via_k_integration(case.params.phi, case.params, n_k=10**4 + 3, bins=20)
     assert np.all(np.isfinite(binned.masses))
-    assert abs(binned.total() - case.ac_integral) <= 1e-3
+    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-3
 
 
 def test_coarse_grid_warning():

@@ -553,7 +553,7 @@ def test_conjugate_phase_and_spinor_give_the_same_distribution(params, t):
 def test_rescaled_distribution_pairs():
     t = 4
     dist = distribution(evolve(WalkParams(phi=0.5, a=1.0, b=0.0), t))
-    pairs = rescaled_distribution(dist, t)
+    pairs = rescaled_distribution(dist)
     assert pairs.shape == (2 * t + 1, 2)
     assert np.allclose(pairs[:, 0], np.arange(-t, t + 1) / t, atol=1e-16)
     # scaled masses: t * P_t(x); their sum over the support is t
@@ -563,11 +563,8 @@ def test_rescaled_distribution_pairs():
 
 
 def test_rescaled_distribution_validation():
-    dist = distribution(evolve(RIGHT, 3))
     with pytest.raises(ValueError):
-        rescaled_distribution(dist, 0)
-    with pytest.raises(ValueError):
-        rescaled_distribution(dist, 5)
+        rescaled_distribution(distribution(evolve(RIGHT, 0)))
 
 
 def test_cesaro_average_equals_direct_mean():
