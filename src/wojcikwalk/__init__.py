@@ -14,85 +14,12 @@ The package has four layers:
 The ``wojcikwalk`` console script exposes all of it.
 """
 
-from .limit import (
-    DegenerateDenominatorError,
-    ExampleFixture,
-    InitialStateAngles,
-    WeightCoefficients,
-    ac_density,
-    atom_from_integral,
-    atom_mass,
-    fixture,
-    konno_density,
-    match_fixture,
-    weight,
-    weight_coefficients,
-    EXAMPLE_CASE_IDS,
-)
-from .quadrature import (
-    SUPPORT_RADIUS,
-    QuadratureConvergenceError,
-    QuadratureResult,
-    integrate_ac,
-)
-from .spectral import (
-    BinnedDensity,
-    CoarseKGridWarning,
-    density_via_k_integration,
-    weight_from_residues,
-)
-from .walk import (
-    MAX_STEPS,
-    AmplitudeField,
-    Distribution,
-    StepLimitError,
-    WalkParams,
-    cesaro_average,
-    distribution,
-    evolve,
-    path_sum_field,
-    rescaled_distribution,
-    step,
-)
+from . import limit, quadrature, spectral, walk
+from .limit import *
+from .quadrature import *
+from .spectral import *
+from .walk import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # walk
-    "MAX_STEPS",
-    "AmplitudeField",
-    "Distribution",
-    "StepLimitError",
-    "WalkParams",
-    "cesaro_average",
-    "distribution",
-    "evolve",
-    "path_sum_field",
-    "rescaled_distribution",
-    "step",
-    # limit
-    "DegenerateDenominatorError",
-    "ExampleFixture",
-    "InitialStateAngles",
-    "WeightCoefficients",
-    "ac_density",
-    "atom_from_integral",
-    "atom_mass",
-    "fixture",
-    "konno_density",
-    "match_fixture",
-    "weight",
-    "weight_coefficients",
-    "EXAMPLE_CASE_IDS",
-    # spectral
-    "BinnedDensity",
-    "CoarseKGridWarning",
-    "density_via_k_integration",
-    "weight_from_residues",
-    # quadrature
-    "SUPPORT_RADIUS",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
-    "integrate_ac",
-]
+__all__ = ["__version__", *walk.__all__, *limit.__all__, *spectral.__all__, *quadrature.__all__]

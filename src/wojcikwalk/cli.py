@@ -72,16 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = {
-        "simulate": "evolve the walk and emit the rescaled distribution (x/t, t*P, density)",
-        "density": "tabulate the analytic continuous density on a grid",
-        "verify": "run internal consistency checks and report pass/fail",
-        "converge": "compare binned empirical mass against the analytic density",
-    }
-    step_defaults = {"simulate": 100, "density": 0, "verify": 8, "converge": 10000}
-    bin_defaults = {"simulate": 40, "density": 200, "verify": 40, "converge": 71}
-
-    for name, help_text in specs.items():
+    for name, (_, help_text, steps, bins) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--phi", type=float, default=0.5, help="defect phase in [0,1), units of full turns")
         p.add_argument(
@@ -90,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="a,phi1,b,phi2",
             help="initial spinor [a*e^(i*phi1), b*e^(i*phi2)], default 1,0,0,0",
         )
-        p.add_argument("--steps", type=int, default=step_defaults[name], help="number of walk steps t")
-        p.add_argument("--bins", type=int, default=bin_defaults[name], help="grid/bin count")
+        p.add_argument("--steps", type=int, default=steps, help="number of walk steps t")
+        p.add_argument("--bins", type=int, default=bins, help="grid/bin count")
         p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -396,11 +387,12 @@ def cmd_converge(config: RunConfig) -> int:
     return 0
 
 
+# subcommand -> (runner, help text, default --steps, default --bins)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "density": cmd_density,
-    "verify": cmd_verify,
-    "converge": cmd_converge,
+    "simulate": (cmd_simulate, "evolve the walk and emit the rescaled distribution (x/t, t*P, density)", 100, 40),
+    "density": (cmd_density, "tabulate the analytic continuous density on a grid", 0, 200),
+    "verify": (cmd_verify, "run internal consistency checks and report pass/fail", 8, 40),
+    "converge": (cmd_converge, "compare binned empirical mass against the analytic density", 10000, 71),
 }
 
 
@@ -409,11 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config = _build_config(args, parser)
     try:
-        return _COMMANDS[config.command](config)
-    except limit.DegenerateDenominatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except walk.StepLimitError as exc:
+        return _COMMANDS[config.command][0](config)
+    except (limit.DegenerateDenominatorError, walk.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureConvergenceError as exc:

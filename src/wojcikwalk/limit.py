@@ -29,7 +29,6 @@ from .quadrature import SUPPORT_RADIUS, QuadratureResult, integrate_ac
 from .walk import WalkParams, _check_spinor
 
 __all__ = [
-    "SUPPORT_RADIUS",
     "DegenerateDenominatorError",
     "InitialStateAngles",
     "WeightCoefficients",

@@ -419,7 +419,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
 def distribution(state: AmplitudeField) -> Distribution:
     """P_t(x) = |L_x|^2 + |R_x|^2 over the support [-t, t]."""
     prob = np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
-    return Distribution(state.positions(), prob.real.astype(float))
+    return Distribution(state.positions(), prob)
 
 
 def rescaled_distribution(dist: Distribution) -> np.ndarray:

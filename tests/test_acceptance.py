@@ -149,9 +149,9 @@ def test_criterion_6_time_averaged_origin_mass():
     half = cesaro_average(WalkParams(phi=0.5, a=1.0, b=0.0), 5000, 0)
     quarter = cesaro_average(WalkParams(phi=0.25, a=1.0, b=0.0), 5000, 0)
     plain = cesaro_average(WalkParams(phi=0.0, a=1.0, b=0.0), 5000, 0)
-    assert abs(half - 8.0 / 25.0) <= 2e-3
-    assert abs(quarter - 4.0 / 25.0) <= 2e-3
-    assert plain <= 2e-3
+    assert abs(half - 8.0 / 25.0) <= 1e-3
+    assert abs(quarter - 4.0 / 25.0) <= 1e-3
+    assert plain <= 1e-3
 
 
 def test_criterion_7_unitarity_at_long_times():
