@@ -29,6 +29,7 @@ MAX_BINS = 10**6  # density holds about 0.4 KB per bin: 10^6 bins take ~0.4 GB
 
 _NORMALIZE_WARN = 1e-9
 _NORMALIZE_REJECT = 1e-6
+_LONG_WALK = 10**5  # past this many steps, simulate and converge state the walk's cost first
 
 
 @dataclass
@@ -198,6 +199,22 @@ def _measure(params: walk.WalkParams, tol: float) -> tuple[limit.WeightCoefficie
     return coeffs, result.value, limit.atom_from_integral(result, tol)
 
 
+def _evolve(config: RunConfig) -> walk.AmplitudeField:
+    """The configured walk; past ``_LONG_WALK`` steps one stderr line names its cost first.
+
+    A walk of t steps updates at most (t + 1)(t + 2) / 2 populated columns,
+    so a valid --steps near the cap runs for many minutes before any output.
+    """
+    t = config.steps
+    if t > _LONG_WALK:
+        print(
+            f"{config.command}: --steps {t} runs a walk of up to "
+            f"(t + 1)(t + 2)/2 = {(t + 1) * (t + 2) // 2} column-steps",
+            file=sys.stderr,
+        )
+    return walk.evolve(config.params, t)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -206,7 +223,7 @@ def _measure(params: walk.WalkParams, tol: float) -> tuple[limit.WeightCoefficie
 def cmd_simulate(config: RunConfig) -> int:
     """Rescaled empirical distribution next to the analytic density."""
     t = config.steps
-    state = walk.evolve(config.params, t)
+    state = _evolve(config)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config.params, config.tolerance)
     pairs = walk.rescaled_distribution(dist)[::2]  # sites of the populated parity class
@@ -343,7 +360,7 @@ def cmd_converge(config: RunConfig) -> int:
     rescaled space and never matches the continuous density.
     """
     t = config.steps
-    state = walk.evolve(config.params, t)
+    state = _evolve(config)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config.params, config.tolerance)
 

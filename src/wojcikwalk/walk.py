@@ -18,21 +18,25 @@ unnormalized Hadamard sums, L + R and L - R.  The sum replaces the left
 movers in place, and the difference goes straight into the shifted slot of
 a second right-mover row; the two right-mover rows swap every step.  That
 is two array passes per step instead of four, and one rounding per
-component instead of two.  Each unnormalized step multiplies the state by
-sqrt(2); every 64 steps the window is multiplied by 2^-32, which is exact,
-and ``evolve`` applies the remaining 2^(-pend/2) of the pend pending steps
-once at the end.  Walks of at most 512 steps normalize every step instead
-(four passes), so every output built on a short walk, such as the CLI's
-default runs and the recorded benchmark checksums, keeps the bits it had
-when every walk did.  Against a walk run in np.clongdouble (64-bit
-mantissa) from the same double start, over 8 random starts, the largest
-amplitude error of the two-pass walk run from the start itself at
-t = 2000, 4000 and 10^4 is at most 1.6e-15, 3.0e-15 and 4.6e-15;
-normalizing every step, it is 9e-14..1.2e-13, 1.8e-13..2.4e-13 and
-4.7e-13..6.2e-13.  Outputs of walks past 512 steps therefore differ from
-per-step normalization in their last digits: at t = 10^4 by at most
-6.2e-13 in an amplitude and 1.1e-12 in a P_t(x), which is the error of
-per-step normalization itself.
+component instead of two.  The passes are two ufunc calls with a positional
+out on three views; the rest of a step is scalar bookkeeping through
+``.item``.  A walk from [1, 0] costs 3.5 us per step at t = 2000 and 8.8 us
+at t = 10^4, and ``cesaro_average`` at T = 5000 takes 23 ms (minimum of 30
+rounds on a shared 2-CPU x86-64 VM, numpy 2.4).  Each unnormalized step
+multiplies the state by sqrt(2); every 64 steps the window is multiplied
+by 2^-32, which is exact, and ``evolve`` applies the remaining 2^(-pend/2)
+of the pend pending steps once at the end.  Walks of at most 512 steps
+normalize every step instead (four passes), so every output built on a
+short walk, such as the CLI's default runs and the recorded benchmark
+checksums, keeps the bits it had when every walk did.  Against a walk run
+in np.clongdouble (64-bit mantissa) from the same double start, over 8
+random starts, the largest amplitude error of the two-pass walk run from
+the start itself at t = 2000, 4000 and 10^4 is at most 1.6e-15, 3.0e-15
+and 4.6e-15; normalizing every step, it is 9e-14..1.2e-13,
+1.8e-13..2.4e-13 and 4.7e-13..6.2e-13.  Outputs of walks past 512 steps
+therefore differ from per-step normalization in their last digits: at
+t = 10^4 by at most 6.2e-13 in an amplitude and 1.1e-12 in a P_t(x), which
+is the error of per-step normalization itself.
 
 Underflow window: the amplitude at the front of the light cone shrinks like
 2^(-t/2) and leaves the normal double range near t = 2044.  Subnormal
@@ -45,8 +49,18 @@ are compared with tiny * 2^(pend/2)), and holds exact zeros from then on.
 At most 2t + 2 sites leave in t steps, each moves the state by less than
 sqrt(2) * tiny, and the step is unitary, so in exact arithmetic the
 windowed state stays within about 2 * sqrt(2) * t * tiny (6e-304 at
-t = 10^4) of the unwindowed one.  Before t = 2044 no site of a normalized
-start underflows and every operation is the unwindowed one.
+t = 10^4) of the unwindowed one.  The first sites to leave are the fronts
+of the light cone, which hold (alpha + beta) 2^(-t/2) (left movers at
+site -t) and (alpha - beta) 2^(-t/2) (right movers at site t), times the
+defect phase, for a start [alpha, beta].  Until 2^(-t/2) min |alpha -+ beta|
+drops below tiny, that is up to t = 2044 + 2 log2 min |alpha -+ beta|,
+nothing leaves and every operation is the unwindowed one.  The [1, 0]
+basis walk that ``evolve`` runs past 512 steps first trims at t = 2045
+(phi = 0, 0.3, 0.5).  A start with alpha close to +-beta trims earlier:
+from a = 0.7071067811865476, b = 0.7071067811865475, which is a valid
+spinor, the window first trims at t = 1939, where every dropped amplitude
+is at most 1.6e-308 in the clongdouble walk; with alpha = +-beta exactly a
+front is an exact zero and leaves at t = 1.
 
 Basis walks: the walk is linear in its initial spinor.  With
 sigma = [[0, 1], [-1, 0]], sigma H sigma^-1 = -H, and the defect sits at
@@ -73,6 +87,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -174,9 +189,13 @@ class AmplitudeField:
     relies on this: it reads only the even columns and refuses a state
     with anything in the odd ones.
 
-    Past t = 2044 the sites at the front of the light cone underflow; a
-    field from ``evolve`` holds exact zeros there, where an unwindowed step
-    would hold stuck subnormals (see the module docstring for the bound).
+    A field from ``evolve`` past t = 2044 holds exact zeros at the
+    underflowed front of the light cone, where an unwindowed step would
+    hold stuck subnormals: a walk past 512 steps is built from the [1, 0]
+    walk, whose front leaves the normal doubles at t = 2045, and a shorter
+    one never gets there.  The kernel run from a general start can trim
+    earlier, from t = 2044 + 2 log2 min |alpha -+ beta| on (see the module
+    docstring for the condition and the bound).
     """
 
     amplitudes: np.ndarray
@@ -222,24 +241,28 @@ def _advance(
     Before the step column j holds site 2j - tau; after it, site
     2j - (tau + 1).  The new right movers L - R go straight into
     ``spare[lo + 1 : hi + 1]``, one column up, and the new left movers
-    L + R replace ``left[lo:hi]`` in place: two array passes, and the new
-    state is ``left`` and ``spare``.  Unless ``normalize`` is set (two more
-    passes, times 1/sqrt(2)), the step is sqrt(2) times the unitary one.
-    The defect then multiplies the two amplitudes that left site 0, which
-    is column tau // 2 and populated at even tau only.  Columns outside
-    [lo, hi) of ``left`` and ``right`` must hold zeros; ``spare`` is
+    L + R replace ``left[lo:hi]`` in place: two ufunc calls with a
+    positional out on three views, and the new state is ``left`` and
+    ``spare``.  Unless ``normalize`` is set (two more passes, times
+    1/sqrt(2)), the step is sqrt(2) times the unitary one.  The defect then
+    multiplies the two amplitudes that left site 0, which is column
+    tau // 2 and populated at even tau only; it is read with ``.item`` and
+    multiplied as a Python complex, which rounds as the numpy scalar does.
+    Only columns [lo, hi) of ``left`` and ``right`` are read; ``left[hi]``
+    must hold zero, since it becomes the new top column, and ``spare`` is
     overwritten on [lo, hi + 1).
     """
-    np.subtract(left[lo:hi], right[lo:hi], out=spare[lo + 1 : hi + 1])
+    now_left, now_right, new_right = left[lo:hi], right[lo:hi], spare[lo + 1 : hi + 1]
+    np.subtract(now_left, now_right, new_right)
+    np.add(now_left, now_right, now_left)
     spare[lo] = 0.0
-    left[lo:hi] += right[lo:hi]
     if normalize:
-        left[lo:hi] *= _INV_SQRT2
-        spare[lo + 1 : hi + 1] *= _INV_SQRT2
+        np.multiply(now_left, _INV_SQRT2, now_left)
+        np.multiply(new_right, _INV_SQRT2, new_right)
     origin = tau // 2
     if tau % 2 == 0 and lo <= origin < hi:
-        left[origin] *= defect
-        spare[origin + 1] *= defect
+        left[origin] = left.item(origin) * defect
+        spare[origin + 1] = spare.item(origin + 1) * defect
 
 
 def _check_steps(t: int) -> None:
@@ -258,20 +281,30 @@ def _populated_rows(
     views whose column j is site 2j - tau (columns past tau hold zeros),
     and the number of unnormalized steps since the last rescale.  The true
     amplitudes are the yielded ones times 2^(-pend / 2).  The next step
-    overwrites both views.  Only the active window of columns is stepped,
-    and every column outside it holds exact zeros.  After each step an edge
-    column leaves the window while both its true amplitudes are below
-    ``_TINY``; with a ``target`` site, so does every column outside the
-    backward light cone of (target, t), which cannot reach the target by
-    time t.  The checks run before anything is allocated.
+    overwrites both views.  Only the active window of columns is stepped.
+    After each step an edge column leaves the window while both its true
+    amplitudes are below ``_TINY``, and holds exact zeros from then on:
+    three scalar stores zero its left, right and spare entries (the spare
+    entry is a right mover again after the next swap).  With a ``target``
+    site the window is also clamped, by integer bounds on lo and hi, to the
+    backward light cone of (target, t); columns outside the cone cannot
+    reach the target by time t.  They are left as they are, not zeroed:
+    values outside the backward cone never flow back into it, since the
+    window never grows back over them.  Without a target, every column
+    outside the window holds exact zeros.
+
+    A step costs two ufunc calls on three views plus scalar bookkeeping:
+    3.5 us per step at t = 2000, 8.8 us at t = 10^4, and 23 ms for
+    ``cesaro_average`` at T = 5000 (module docstring).  The checks run
+    before anything is allocated.
     """
     _check_steps(t)
     if target is None:
         shift, cap = -t, t + 1
     else:  # column j at time s is in the cone iff s + shift <= j < cap
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
-    rows = np.zeros((3, t + 1), dtype=np.complex128)
-    left, right, spare = rows  # the two right-mover rows swap every step
+    # the two right-mover rows swap every step
+    left, right, spare = np.zeros((3, t + 1), dtype=np.complex128)
     left[0], right[0] = params.initial_spinor()
     defect = params.defect_factor()
     lo, hi, pend = 0, 1, 0
@@ -288,16 +321,17 @@ def _populated_rows(
                 right[lo:hi] *= _RESCALE
                 pend = 0
         tiny = _THRESHOLDS[pend]
-        while lo < hi and (
-            lo < tau + 1 + shift or abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny
-        ):
-            rows[:, lo] = 0.0
+        floor = tau + 1 + shift
+        if lo < floor:
+            lo = floor if floor < hi else hi
+        while lo < hi and abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny:
+            left[lo] = right[lo] = spare[lo] = 0.0
             lo += 1
-        while lo < hi and (
-            hi > cap or abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny
-        ):
+        if hi > cap:
+            hi = cap if cap > lo else lo
+        while lo < hi and abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny:
             hi -= 1
-            rows[:, hi] = 0.0
+            left[hi] = right[hi] = spare[hi] = 0.0
         yield left, right, pend
 
 
@@ -457,8 +491,8 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     if abs(x) >= T:  # the walker never reaches x within T - 1 steps
         return 0.0
     acc = 0.0
-    for tau, (left, right, pend) in enumerate(_populated_rows(params, T - 1, x)):
-        if abs(x) <= tau and (x + tau) % 2 == 0:
-            j = (x + tau) // 2
-            acc += math.ldexp(abs(left[j]) ** 2 + abs(right[j]) ** 2, -pend)
+    j = (x + abs(x)) // 2  # the column of x at time |x|; one column up every two steps
+    for left, right, pend in itertools.islice(_populated_rows(params, T - 1, x), abs(x), None, 2):
+        acc += math.ldexp(abs(left.item(j)) ** 2 + abs(right.item(j)) ** 2, -pend)
+        j += 1
     return acc / T

@@ -305,6 +305,34 @@ def test_steps_above_the_cap_exit_two(command, capsys, monkeypatch):
     assert f"step cap {walk.MAX_STEPS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_long_walks_state_their_cost_before_walking(command, capsys, monkeypatch):
+    # past 10^5 steps one stderr line names t and the (t + 1)(t + 2)/2 bound
+    # before the walk starts; a stand-in walk keeps the test from running it
+    err_before_walk = []
+
+    def stand_in(params, steps):
+        err_before_walk.append(capsys.readouterr().err)
+        amps = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
+        amps[:, 0] = [0.6, 0.8j]  # site -t
+        return walk.AmplitudeField(amps, steps)
+
+    monkeypatch.setattr(cli.walk, "evolve", stand_in)
+    run_cli([command, "--steps", str(10**5), "--bins", "20"], capsys)
+    t = 10**5 + 1
+    argv = [command, "--steps", str(t), "--bins", "20"]
+    announced = run_cli(argv, capsys)
+    assert err_before_walk == [
+        "",
+        f"{command}: --steps {t} runs a walk of up to (t + 1)(t + 2)/2 = {(t + 1) * (t + 2) // 2} column-steps\n",
+    ]
+    # the line is the only difference: stdout, the exit code and the rest of
+    # stderr are those of a run that does not announce its cost
+    monkeypatch.setattr(cli, "_LONG_WALK", t)
+    assert run_cli(argv, capsys) == announced
+    assert err_before_walk[2] == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "density", "verify", "converge"])
 def test_bins_above_the_cap_exit_two(command, capsys, monkeypatch):
     def no_work(*args):

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -384,6 +385,186 @@ def test_walks_up_to_512_steps_keep_the_frozen_kernel_bits(frozen):
     for x in (0, 5, -511, 512):
         want = frozen.walk.cesaro_average(ref_params, 513, x)
         assert cesaro_average(WalkParams(**fields), 513, x) == want, x
+
+
+# ---------------------------------------------------------------------------
+# bit identity of walks past 512 steps with the kernel they were defined on
+# ---------------------------------------------------------------------------
+
+# The step kernel as it was before its fixed per-step cost was cut, copied
+# verbatim apart from its names: five views and a slice write-back per step,
+# the defect multiplied on numpy scalars, and a 2-D store that zeroes every
+# column leaving the window, light cone included.  The frozen reference
+# normalizes every step, so its tests stop at 512 steps; this copy pins the
+# bits of the unnormalized long walks.
+_INV_SQRT2 = walk._INV_SQRT2
+_SHORT_WALK = walk._SHORT_WALK
+_RESCALE_EVERY = walk._RESCALE_EVERY
+_RESCALE = walk._RESCALE
+_THRESHOLDS = walk._THRESHOLDS
+
+
+def reference_advance(
+    left: np.ndarray,
+    right: np.ndarray,
+    spare: np.ndarray,
+    lo: int,
+    hi: int,
+    tau: int,
+    defect: complex,
+    normalize: bool,
+) -> None:
+    """One step, in place, on the active columns [lo, hi).
+
+    Before the step column j holds site 2j - tau; after it, site
+    2j - (tau + 1).  The new right movers L - R go straight into
+    ``spare[lo + 1 : hi + 1]``, one column up, and the new left movers
+    L + R replace ``left[lo:hi]`` in place: two array passes, and the new
+    state is ``left`` and ``spare``.  Unless ``normalize`` is set (two more
+    passes, times 1/sqrt(2)), the step is sqrt(2) times the unitary one.
+    The defect then multiplies the two amplitudes that left site 0, which
+    is column tau // 2 and populated at even tau only.  Columns outside
+    [lo, hi) of ``left`` and ``right`` must hold zeros; ``spare`` is
+    overwritten on [lo, hi + 1).
+    """
+    np.subtract(left[lo:hi], right[lo:hi], out=spare[lo + 1 : hi + 1])
+    spare[lo] = 0.0
+    left[lo:hi] += right[lo:hi]
+    if normalize:
+        left[lo:hi] *= _INV_SQRT2
+        spare[lo + 1 : hi + 1] *= _INV_SQRT2
+    origin = tau // 2
+    if tau % 2 == 0 and lo <= origin < hi:
+        left[origin] *= defect
+        spare[origin + 1] *= defect
+
+
+def reference_rows(
+    params: WalkParams, t: int, target: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield the populated sites' unnormalized amplitudes at times 0, 1, ..., t.
+
+    The yield at time tau is ``(left, right, pend)``: two length-(t + 1)
+    views whose column j is site 2j - tau (columns past tau hold zeros),
+    and the number of unnormalized steps since the last rescale.  The true
+    amplitudes are the yielded ones times 2^(-pend / 2).  The next step
+    overwrites both views.  Only the active window of columns is stepped,
+    and every column outside it holds exact zeros.  After each step an edge
+    column leaves the window while both its true amplitudes are below
+    ``_TINY``; with a ``target`` site, so does every column outside the
+    backward light cone of (target, t), which cannot reach the target by
+    time t.  The checks run before anything is allocated.
+    """
+    walk._check_steps(t)
+    if target is None:
+        shift, cap = -t, t + 1
+    else:  # column j at time s is in the cone iff s + shift <= j < cap
+        shift, cap = -((t - target) // 2), (t + target) // 2 + 1
+    rows = np.zeros((3, t + 1), dtype=np.complex128)
+    left, right, spare = rows  # the two right-mover rows swap every step
+    left[0], right[0] = params.initial_spinor()
+    defect = params.defect_factor()
+    lo, hi, pend = 0, 1, 0
+    yield left, right, pend
+    short = t <= _SHORT_WALK
+    for tau in range(t):
+        reference_advance(left, right, spare, lo, hi, tau, defect, short)
+        right, spare = spare, right
+        hi += 1
+        if not short:
+            pend += 1
+            if pend == _RESCALE_EVERY:
+                left[lo:hi] *= _RESCALE
+                right[lo:hi] *= _RESCALE
+                pend = 0
+        tiny = _THRESHOLDS[pend]
+        while lo < hi and (
+            lo < tau + 1 + shift or abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny
+        ):
+            rows[:, lo] = 0.0
+            lo += 1
+        while lo < hi and (
+            hi > cap or abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny
+        ):
+            hi -= 1
+            rows[:, hi] = 0.0
+        yield left, right, pend
+
+
+def reference_cesaro(params, T, x):
+    """``cesaro_average`` on ``reference_rows``, as it read its site before."""
+    acc = 0.0
+    for tau, (left, right, pend) in enumerate(reference_rows(params, T - 1, x)):
+        if abs(x) <= tau and (x + tau) % 2 == 0:
+            j = (x + tau) // 2
+            acc += math.ldexp(abs(left[j]) ** 2 + abs(right[j]) ** 2, -pend)
+    return acc / T
+
+
+def last_rows(rows):
+    """The uint64 bits of a kernel's final (left, right) yield, and its pend."""
+    for left, right, pend in rows:
+        pass
+    return np.array((left, right)).view(np.uint64), pend
+
+
+# a valid spinor with a - b = 1.1e-16: its right-moving front starts near
+# 2^-53 and leaves the normal doubles at t = 1939, before the 2045 of [1, 0]
+SLANTED = WalkParams(phi=0.0, a=0.7071067811865476, b=0.7071067811865475)
+
+
+@needs_extended_precision
+def test_window_trims_a_general_spinor_before_t_2044():
+    # the front of the light cone is (alpha -+ beta) 2^(-t/2) times a phase,
+    # so a start with alpha close to beta underflows long before the 2045 of
+    # [1, 0]: the window test runs from the first step on, and every column
+    # it drops is below the smallest normal double in the unwindowed walk
+    t = 1960
+    dropped_at = []
+    rows = zip(walk._populated_rows(SLANTED, t), extended_precision_rows(SLANTED, t))
+    for tau, ((left, right, _), exact) in enumerate(rows):
+        dropped = (left[: tau + 1] == 0) & (right[: tau + 1] == 0)
+        if dropped.any():
+            dropped_at.append(tau)
+            assert np.max(np.abs(exact[:, dropped])) < TINY, tau
+    assert dropped_at[0] == 1939
+    assert len(dropped_at) == t - 1939 + 1
+
+
+@pytest.mark.parametrize("t", [513, 2100, 4100])
+def test_long_evolve_is_bit_identical_to_the_reference_kernel(t, monkeypatch):
+    rng = np.random.default_rng(83)
+    for _ in range(3):
+        params = WalkParams(**random_fields(rng))
+        walk._basis_walk.cache_clear()
+        got = evolve(params, t).amplitudes.view(np.uint64).copy()
+        with monkeypatch.context() as patched:
+            patched.setattr(walk, "_populated_rows", reference_rows)
+            walk._basis_walk.cache_clear()
+            want = evolve(params, t).amplitudes.view(np.uint64)
+        walk._basis_walk.cache_clear()
+        assert np.array_equal(got, want), (params, t)
+
+
+@pytest.mark.parametrize("t", [513, 2100, 4100])
+def test_kernel_rows_from_any_spinor_are_bit_identical_to_the_reference(t):
+    # evolve runs long walks from [1, 0] only; cesaro_average runs the
+    # kernel from the spinor itself, whose window may trim earlier
+    rng = np.random.default_rng(89)
+    for params in [SLANTED] + [WalkParams(**random_fields(rng)) for _ in range(2)]:
+        got, got_pend = last_rows(walk._populated_rows(params, t))
+        want, want_pend = last_rows(reference_rows(params, t))
+        assert got_pend == want_pend
+        assert np.array_equal(got, want), (params, t)
+
+
+def test_long_cesaro_average_is_bit_identical_to_the_reference_kernel():
+    rng = np.random.default_rng(97)
+    for T, x in ((5000, 0), (3001, -5), (2600, 40), (514, -513)):
+        params = WalkParams(**{**random_fields(rng), "phi": 0.5 if x == 0 else rng.uniform()})
+        assert cesaro_average(params, T, x) == reference_cesaro(params, T, x), (T, x)
+    for x in (0, 1, 1938, -1937):
+        assert cesaro_average(SLANTED, 2100, x) == reference_cesaro(SLANTED, 2100, x), x
 
 
 # ---------------------------------------------------------------------------
