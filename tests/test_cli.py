@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,6 +429,99 @@ def test_table_edge_cases_match_frozen_reference(argv, frozen, capsys):
     want = run_cli(argv, capsys, main=frozen.cli.main)
     assert want[0] == 0
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--bins", str(cli._BLOCK_ROWS + 1)],  # one row past the first block
+        ["density", "--bins", str(3 * cli._BLOCK_ROWS + 7), "--phi", "0.37", "--init", "0.6,0,0.8,1"],
+        ["converge", "--steps", "20", "--bins", "2"],  # no kept bin: the header only
+    ],
+)
+def test_streamed_output_matches_frozen_reference(argv, frozen, capsys, tmp_path):
+    want = run_cli(argv, capsys, main=frozen.cli.main)
+    assert want[0] == 0
+    assert run_cli(argv, capsys) == want
+    target = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (0, "", want[2])
+    assert target.read_bytes() == want[1].encode("ascii")
+
+
+def test_simulate_percent_path_matches_frozen_formatting(frozen, capsys, monkeypatch, tmp_path):
+    # past 512 steps the walk's last bits may differ from the frozen copy's
+    # (see test_long_walk_output_matches_frozen_reference), so the frozen
+    # emitter formats this walk's own table; its zeros, values below 1e-6
+    # and subnormals mix both formatter paths
+    tables = []
+    emit_table = cli._emit_table
+
+    def recording(config, header, table, *args, **kwargs):
+        tables.append((header, table))
+        emit_table(config, header, table, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit_table", recording)
+    argv = ["simulate", "--steps", "2000"]
+    code, out, _ = run_cli(argv, capsys)
+    (header, table), = tables
+    magnitudes = np.abs(table)
+    assert np.any(magnitudes == 0) and np.any((magnitudes > 0) & (magnitudes < 1e-6))
+    frozen.cli._emit_csv(SimpleNamespace(output_path=None), header, table.tolist())
+    assert code == 0 and out == capsys.readouterr().out
+    target = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (0, "", "")
+    assert target.read_bytes() == out.encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# the exact "%.17g" table formatter
+# ---------------------------------------------------------------------------
+
+
+def percent_body(table):
+    """The formatter's reference: one CPython ``%`` over every value."""
+    rows, cols = table.shape
+    return "\n".join([",".join(["%.17g"] * cols)] * rows) % tuple(table.ravel().tolist())
+
+
+def formatter_inputs(family):
+    rng = np.random.default_rng(1729)
+    if family == "bit_patterns":  # every class of double, specials forced in
+        bits = rng.integers(0, 2**64, 3000, dtype=np.uint64)
+        bits[:1000] &= ~np.uint64(0x7FF << 52)  # zeros and subnormals
+        bits[1000:1100] |= np.uint64(0x7FF << 52)  # nans of either sign
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]
+        specials += [2.2250738585072014e-308, 1.7976931348623157e308]
+        return np.concatenate((specials, bits.view(np.float64)))
+    if family == "log_uniform":  # both signs, every fast-path exponent and a decade each side
+        return 10.0 ** rng.uniform(-7.0, 17.0, 6000) * rng.choice([-1.0, 1.0], 6000)
+    if family == "powers_of_ten":  # the estimated exponent may be off by one here
+        values = []
+        for k in range(-8, 19):
+            x = float(f"1e{k}")
+            values += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+        return np.array(values + [-v for v in values])
+    if family == "ties":  # exactly half-way between two 17-digit decimals: half-even
+        j = np.arange(0, 2**16, 13)
+        return np.concatenate((1.0 + (2 * j + 1) * 2.0**-17, -1.0 - (2 * j + 1) * 2.0**-17))
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("family", ["bit_patterns", "log_uniform", "powers_of_ten", "ties"])
+@pytest.mark.parametrize("cols", [1, 3, 8])
+def test_formatter_matches_percent(family, cols):
+    values = formatter_inputs(family)
+    table = values[: len(values) // cols * cols].reshape(-1, cols)
+    assert b"".join(cli._body_blocks(table)).decode("ascii") == percent_body(table)
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+def test_formatter_block_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    table = 10.0 ** rng.uniform(-8.0, 18.0, (rows, 4)) * rng.choice([-1.0, 0.0, 1.0], (rows, 4))
+    blocks = list(cli._body_blocks(table))
+    assert len(blocks) == -(-rows // cli._BLOCK_ROWS)
+    assert b"".join(blocks).decode("ascii") == percent_body(table)
 
 
 # walk-derived columns of each table: simulate's t * P, converge's bin masses
