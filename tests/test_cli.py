@@ -431,6 +431,31 @@ def test_table_edge_cases_match_frozen_reference(argv, frozen, capsys):
     assert got == want
 
 
+def test_json_table_rows_are_the_indented_dump(capsys):
+    # table rows are dumped without indent and re-indented; the bytes must
+    # stay those of json.dumps(payload, indent=2)
+    parser = cli._build_parser()
+    config = cli._build_config(parser.parse_args(["density", "--format", "json"]), parser)
+    tables = [
+        np.array([[math.nan, math.inf, -math.inf, -0.0], [0.1, 5e-324, 1e300, -2.0]]),
+        np.array([[1.5], [-0.0], [math.nan]]),  # one column
+        np.array([[-math.inf]]),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+    ]
+    for table in tables:
+        metadata = {"checksum": "0" * 64, "rows": len(table), "C": math.nan}
+        cli._emit_json(config, metadata, table)
+        want = {"config": config.echo(), "metadata": metadata, "rows": table.tolist()}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", table.shape
+    for argv in (
+        ["converge", "--steps", "20", "--bins", "2", "--format", "json"],  # zero rows
+        ["density", "--bins", "5", "--phi", "0.37", "--format", "json"],
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

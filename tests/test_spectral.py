@@ -24,6 +24,17 @@ from wojcikwalk import (
 S = SUPPORT_RADIUS
 
 
+def oracle_configurations():
+    """The six fixtures and eight seeded random configurations."""
+    configs = [fixture(case).params for case in EXAMPLE_CASE_IDS]
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi = float(rng.uniform(0.0, 1.0))
+        configs.append(WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3))))
+    return configs
+
+
 # ---------------------------------------------------------------------------
 # pointwise residue weight
 # ---------------------------------------------------------------------------
@@ -87,6 +98,11 @@ def test_array_evaluation_matches_float_calls(frozen):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         single = weight_from_residues(float(xs[0, 0]), init)
         assert type(single) is float and single == want[0, 0]
+    for init in oracle_configurations():
+        old_init = frozen.InitialStateAngles(init.a, init.b, init.phi12)
+        xs = rng.uniform(-S + 1e-6, S - 1e-6, 24)
+        want = [frozen.weight_from_residues(x, init.phi, old_init) for x in xs.tolist()]
+        assert np.array_equal(weight_from_residues(xs, init).view(np.uint64), np.array(want).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +184,80 @@ def test_quadrant_fold_matches_four_quadrant_loop():
             got = density_via_k_integration(phi, init, n_k, bins).masses
             want = four_quadrant_masses(phi, init, n_k, bins)
             assert np.max(np.abs(got - want)) <= 1e-13, (phi, init, n_k)
+
+
+def reference_pole(c):
+    u = np.abs(c) / np.sqrt(1.0 + c * c)
+    one_minus = 1.0 - u * u
+    cos_t = 1.0 / np.sqrt(2.0 * one_minus)
+    sin_t = np.sqrt((1.0 - 2.0 * u * u) / (2.0 * one_minus))
+    root = u / np.sqrt(one_minus)
+    m = math.sqrt(2.0) * cos_t - root
+    return u, cos_t * m + 1j * (sin_t * m)
+
+
+def reference_residue_norm(u, f, branch, phi, init):
+    omega = cmath.exp(2j * math.pi * phi)
+    alpha = init.a * cmath.exp(1j * init.phi12)
+    beta = init.b
+
+    denom = 1.0 - math.sqrt(2.0) * omega * f + (omega * omega) * f * f
+    item1 = u * u
+    item2 = 1.0 / np.abs(denom) ** 2
+    if branch == 1:
+        item3 = 0.5 * np.abs(alpha - beta - math.sqrt(2.0) * omega * alpha * f) ** 2
+    else:
+        item3 = 0.5 * np.abs(alpha + beta - math.sqrt(2.0) * omega * beta * f) ** 2
+    item4 = 2.0 / (1.0 + u)
+    return item1 * item2 * item3 * item4
+
+
+def reference_k_masses(phi, init, n_k, bins):
+    """The quadrant-folded loop evaluated whole-chunk, four residue norms at a time.
+
+    Masses and per-bin sample counts; the blocked route must reproduce the
+    masses bit for bit, since it evaluates the same expressions and sums
+    each 250 000-frequency chunk of each branch in the same order.
+    """
+    quarter = math.ceil(n_k / 4)
+    dk = 2.0 * math.pi / (4 * quarter)
+    bin_width = 2.0 * S / bins
+    masses = np.zeros(bins)
+    counts = np.zeros(bins)
+    chunk = 250_000
+    for start in range(0, quarter, chunk):
+        k = (np.arange(start, min(start + chunk, quarter)) + 0.5) * dk
+        u, f = reference_pole(np.cos(k))
+        f_conj = f.conj()
+        for branch in (1, -1):
+            norms = reference_residue_norm(u, f, branch, phi, init) + reference_residue_norm(
+                u, f_conj, branch, phi, init
+            )
+            where = np.clip(((branch * u + S) / bin_width).astype(int), 0, bins - 1)
+            masses += np.bincount(where, weights=norms * (dk / math.pi), minlength=bins)
+            counts += np.bincount(where, minlength=bins)
+    return masses, 4 * counts
+
+
+@pytest.mark.parametrize(
+    "n_k, bins",
+    # 10^6 + 4: a second chunk of one frequency; 1 008 000: both chunks reach
+    # the centre bin, which both branches share, so the order in which the
+    # branches are added into the masses shows; 300 bins: the undersampled warning
+    [(10**4, 20), (10**4, 300), (10**5, 40), (10**5 + 2, 41), (10**6 + 4, 71), (1_008_000, 21)],
+)
+def test_k_masses_keep_the_bits_of_the_whole_chunk_loop(n_k, bins):
+    for init in oracle_configurations():
+        want, counts = reference_k_masses(init.phi, init, n_k, bins)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CoarseKGridWarning)
+            got = density_via_k_integration(init.phi, init, n_k, bins).masses
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (init, n_k, bins)
+        low = int(counts.min())  # 28 at (10^4, 300)
+        if low < 32:
+            assert len(caught) == 1 and f"only {low} samples" in str(caught[0].message)
+        else:
+            assert not caught
 
 
 def test_undersampling_counts_every_quadrant():
