@@ -40,7 +40,7 @@ import numpy as np
 
 from .limit import _like
 from .quadrature import SUPPORT_RADIUS
-from .walk import WalkParams
+from .walk import WalkParams, _check_phi
 
 __all__ = [
     "CoarseKGridWarning",
@@ -187,8 +187,9 @@ def density_via_k_integration(
     sums added to the masses branch +1 first, so the masses are bit-equal
     to evaluating each chunk whole, four residue norms at a time.  The
     chunk's bin indices and weights (8 MB at n_k >= 10^6) are the largest
-    temporaries.
+    temporaries.  ``phi`` obeys the rule of ``WalkParams.phi``.
     """
+    _check_phi(phi)
     if n_k < MIN_K_SAMPLES:
         raise ValueError(f"n_k must be at least {MIN_K_SAMPLES}, got {n_k!r}")
     if bins < MIN_BINS:

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "match_fixture",
     "path_sum_field",
     "rescaled_distribution",
-    "step",
     "weight",
     "weight_coefficients",
     "weight_from_residues",

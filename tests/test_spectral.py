@@ -293,3 +293,8 @@ def test_grid_parameter_validation():
         density_via_k_integration(0.5, init, n_k=9_999, bins=40)
     with pytest.raises(ValueError):
         density_via_k_integration(0.5, init, n_k=10**5, bins=19)
+    # phi obeys the rule of WalkParams.phi, with its message
+    for phi in (math.nan, 1.0, -0.1):
+        with pytest.raises(ValueError) as refused:
+            density_via_k_integration(phi, init, n_k=10**5, bins=40)
+        assert str(refused.value) == f"phi must lie in [0, 1), got {phi!r}"

@@ -22,7 +22,6 @@ from wojcikwalk import (
     evolve,
     path_sum_field,
     rescaled_distribution,
-    step,
     walk,
 )
 
@@ -199,16 +198,6 @@ def test_evolve_zero_steps_is_initial_state():
     assert np.allclose(state.amplitudes[:, 0], params.initial_spinor(), atol=1e-16)
 
 
-def test_step_matches_evolve():
-    params = WalkParams(phi=0.3, a=0.6, b=0.8, phi1=0.2, phi2=0.0)
-    state = evolve(params, 0)
-    for t in range(1, 9):
-        state = step(state, params.phi)
-        direct = evolve(params, t)
-        assert state.time == t
-        assert np.array_equal(state.amplitudes, direct.amplitudes)
-
-
 def test_parity_sites_are_exactly_empty():
     state = evolve(WalkParams(phi=0.3, a=0.6, b=0.8), 9)
     dist = distribution(state)
@@ -219,7 +208,7 @@ def test_parity_sites_are_exactly_empty():
 
 def test_unitarity_long_run():
     state = evolve(WalkParams(phi=0.7, a=0.6, b=0.8, phi1=0.5), 2000)
-    assert abs(state.total_probability() - 1.0) <= 1e-12
+    assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-12
 
 
 def test_global_phase_leaves_distribution_unchanged():
@@ -250,11 +239,6 @@ def test_amplitude_field_shape_validation():
         AmplitudeField(np.zeros((2, 4), dtype=np.complex128), 2)
     with pytest.raises(ValueError):
         AmplitudeField(np.zeros((2, 3), dtype=np.complex128), -1)
-    # site 0 at time 1 is off the populated parity class, which step would drop
-    off_parity = np.zeros((2, 3), dtype=np.complex128)
-    off_parity[0, 1] = 1.0
-    with pytest.raises(ValueError, match="parity"):
-        step(AmplitudeField(off_parity, 1), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +297,6 @@ def test_evolve_is_bit_identical_to_frozen(frozen):
             got_prob = distribution(got).prob.view(np.uint64)
             want_prob = frozen.walk.distribution(want).prob.view(np.uint64)
             assert np.array_equal(got_prob, want_prob)
-
-
-def test_step_chain_is_bit_identical_to_frozen(frozen):
-    fields = random_fields(np.random.default_rng(43))
-    state = evolve(WalkParams(**fields), 0)
-    ref = frozen.walk.evolve(frozen.walk.WalkParams(**fields), 0)
-    for _ in range(40):
-        state = step(state, fields["phi"])
-        ref = frozen.walk.step(ref, fields["phi"])
-        assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
 def subnormal_count(values):
