@@ -6,6 +6,8 @@ x = sin(u)/sqrt(2) cancels that factor against the cosine Jacobian, so the
 transformed integrand is smooth on [-pi/2, pi/2] and composite Gauss-Legendre
 panels converge rapidly.  The interval is split at u = 0 because the weight
 factor of the density is allowed to switch branches across x = 0.
+One driver refines any number of intervals together, with one density call
+per level over every unconverged interval; ``integrate_ac`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ SUPPORT_RADIUS = 1.0 / math.sqrt(2.0)
 _PANEL_ORDER = 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 _BUDGET = 200_000  # hard cap on integrand evaluations per integral
+_MAX_PANELS = 8192  # panels per density call: at most 4096 intervals, fewer as they refine
 
 
 @dataclass(frozen=True)
@@ -63,44 +66,80 @@ class QuadratureConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _panel_sum(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> float:
-    """Composite fixed-order Gauss-Legendre over n equal panels of [lo, hi]."""
+def _panel_sums(density: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Gauss-Legendre sums in u of n equal panels of each [lo[i], hi[i]], ``_MAX_PANELS`` per density call.
+
+    ``(group, n, 12) @ _WEIGHTS`` runs one BLAS product per interval; a flat
+    ``(group * n, 12)`` one would block rows of neighbouring intervals together.
+    """
     h = (hi - lo) / n
-    starts = lo + h * np.arange(n)
-    mids = starts + 0.5 * h
-    pts = (mids[:, None] + (0.5 * h) * _NODES[None, :]).ravel()
-    vals = np.reshape(g(pts), (n, _PANEL_ORDER))
-    return 0.5 * h * float((vals @ _WEIGHTS).sum())
+    half = 0.5 * h
+    out = np.empty(lo.size)
+    step = max(1, _MAX_PANELS // n)
+    for s in range(0, lo.size, step):
+        group = slice(s, s + step)
+        mids = (lo[group, None] + h[group, None] * np.arange(n)) + half[group, None]
+        u = (mids[:, :, None] + half[group, None, None] * _NODES).ravel()
+        vals = density(SUPPORT_RADIUS * np.sin(u)) * SUPPORT_RADIUS * np.cos(u)
+        out[group] = half[group] * (np.reshape(vals, (-1, n, _PANEL_ORDER)) @ _WEIGHTS).sum(axis=1)
+    return out
 
 
-def _refine_piece(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-    budget: int,
-) -> tuple[float, float, int, bool]:
-    """Panel-doubling refinement of one sub-interval.
+def _refine(
+    density: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: np.ndarray, budget: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Panel doubling on every [lo[i], hi[i]] at once: arrays (value, est_error, evaluations, converged).
 
-    Returns (value, est_error, evaluations, converged).  The error estimate
-    is the difference between the last two doubling levels, which bounds the
-    coarser level's error and strongly overestimates the finer one's.
+    The estimate is the difference of the last two levels, which bounds the
+    coarser level's error and strongly overestimates the finer one's.  An
+    interval stops at its ``tol``, or before its next level passes its ``budget``.
     """
     n = 2
-    value = _panel_sum(g, lo, hi, n)
-    used = n * _PANEL_ORDER
-    est = math.inf
+    value = _panel_sums(density, lo, hi, n)
+    used, est = np.full(lo.size, n * _PANEL_ORDER), np.full(lo.size, math.inf)
+    active = np.arange(lo.size)
     while True:
         n *= 2
-        cost = n * _PANEL_ORDER
-        if used + cost > budget:
-            return value, est, used, False
-        nxt = _panel_sum(g, lo, hi, n)
-        used += cost
-        est = abs(nxt - value)
-        value = nxt
-        if est <= tol:
-            return value, est, used, True
+        active = active[used[active] + n * _PANEL_ORDER <= budget[active]]
+        if not active.size:
+            return value, est, used, est <= tol
+        nxt = _panel_sums(density, lo[active], hi[active], n)
+        used[active] += n * _PANEL_ORDER
+        est[active] = np.abs(nxt - value[active])
+        value[active] = nxt
+        active = active[est[active] > tol[active]]
+
+
+def _integrate_intervals(
+    density: Callable[[np.ndarray], np.ndarray], tol: float, lo: list[float], hi: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``integrate_ac`` of each (lo[i], hi[i]), unvalidated: arrays (value, est_error, evaluations).
+
+    A straddling interval's second half is refined after every first half,
+    with the evaluations its first half left.  The first interval that fails
+    raises ``integrate_ac``'s error with its partial result.
+    """
+    u_lo, u_hi = (np.array([math.asin(max(-1.0, min(1.0, x / SUPPORT_RADIUS))) for x in ends]) for ends in (lo, hi))
+    split = (u_lo < 0.0) & (0.0 < u_hi)  # split at u = 0 (x = 0), each half with tol / 2
+    piece_tol = np.where(split, tol / 2, tol)
+    total, total_err = np.zeros((2, u_lo.size))  # each piece adds to sums from 0.0
+    total_used = np.zeros(u_lo.size, dtype=np.int64)
+    failed = np.zeros(u_lo.size, dtype=bool)
+    which, p_lo, p_hi = np.arange(u_lo.size), u_lo, np.where(split, 0.0, u_hi)
+    while which.size:
+        value, est, used, converged = _refine(density, p_lo, p_hi, piece_tol[which], _BUDGET - total_used[which])
+        total[which] += value
+        total_err[which] += est
+        total_used[which] += used
+        failed[which] = ~converged
+        which = which[converged & (p_hi < u_hi[which])]  # a converged first half goes on to (0, u_hi)
+        p_lo, p_hi = np.zeros(which.size), u_hi[which]
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        partial = QuadratureResult(float(total[i]), float(total_err[i]), int(total_used[i]))
+        message = f"no convergence to tol={tol:g} within {_BUDGET} evaluations (best estimate {partial.est_error:g})"
+        raise QuadratureConvergenceError(message, partial)
+    return total, total_err, total_used
 
 
 def integrate_ac(
@@ -144,35 +183,5 @@ def integrate_ac(
         raise ValueError(
             f"need -1/sqrt(2) <= lo < hi <= 1/sqrt(2), got lo={lo!r}, hi={hi!r}"
         )
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        x = SUPPORT_RADIUS * np.sin(u)
-        return density(x) * SUPPORT_RADIUS * np.cos(u)
-
-    u_lo = math.asin(max(-1.0, min(1.0, lo / SUPPORT_RADIUS)))
-    u_hi = math.asin(max(-1.0, min(1.0, hi / SUPPORT_RADIUS)))
-
-    # Split at u = 0 (x = 0) when the interval straddles it.
-    pieces = [(u_lo, u_hi)]
-    if u_lo < 0.0 < u_hi:
-        pieces = [(u_lo, 0.0), (0.0, u_hi)]
-
-    piece_tol = tol / len(pieces)
-    total = 0.0
-    total_err = 0.0
-    total_used = 0
-    for p_lo, p_hi in pieces:
-        value, est, used, converged = _refine_piece(
-            transformed, p_lo, p_hi, piece_tol, _BUDGET - total_used
-        )
-        total += value
-        total_err += est
-        total_used += used
-        if not converged:
-            partial = QuadratureResult(total, total_err, total_used)
-            raise QuadratureConvergenceError(
-                f"no convergence to tol={tol:g} within {_BUDGET} "
-                f"evaluations (best estimate {total_err:g})",
-                partial,
-            )
-    return QuadratureResult(total, total_err, total_used)
+    value, est, used = _integrate_intervals(density, tol, [lo], [hi])
+    return QuadratureResult(float(value[0]), float(est[0]), int(used[0]))

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wojcikwalk import cli, walk
+from wojcikwalk import cli, limit, quadrature, walk
 
 
 def run_cli(argv, capsys, main=cli.main):
@@ -211,6 +211,49 @@ def test_converge_json_deviation_adds_up(capsys):
     payload = json.loads(out)
     total = sum(row[5] for row in payload["rows"])
     assert abs(total - payload["metadata"]["total_abs_deviation"]) <= 1e-12
+
+
+def test_converge_reports_the_first_bin_that_fails(capsys, monkeypatch):
+    # square-root kinks in two kept bins need more than 600 evaluations to
+    # meet the bins' tol of 1e-9; the full integral at tol 1e-2 still converges
+    monkeypatch.setattr(quadrature, "_BUDGET", 600)
+    smooth = limit.ac_density
+    kinks = (-0.4001, 0.3001)
+
+    def kinked(x, coeffs):
+        return smooth(x, coeffs) + sum(1e-2 * np.sqrt(np.abs(x - k)) for k in kinks)
+
+    monkeypatch.setattr(cli.limit, "ac_density", kinked)
+    code, out, err = run_cli(["converge", "--steps", "20", "--bins", "71", "--tol", "1e-2"], capsys)
+    coeffs = limit.weight_coefficients(walk.WalkParams(0.5, 1.0, 0.0))
+    edges = np.linspace(-quadrature.SUPPORT_RADIUS, quadrature.SUPPORT_RADIUS, 72)
+    messages = []
+    for k in kinks:  # each kinked bin on its own, as integrate_ac reports it
+        i = int(np.searchsorted(edges, k)) - 1
+        with pytest.raises(quadrature.QuadratureConvergenceError) as excinfo:
+            quadrature.integrate_ac(lambda x: kinked(x, coeffs), 1e-9, lo=float(edges[i]), hi=float(edges[i + 1]))
+        messages.append(str(excinfo.value))
+    assert messages[0] != messages[1]
+    assert (code, out, err) == (1, "", f"error: {messages[0]}\n")
+
+
+def test_converge_density_calls_do_not_grow_with_bins(capsys, monkeypatch):
+    # every kept bin is refined in one batch: one density call per level
+    # while the level's nodes fit in one chunk, whatever the bin count
+    smooth = limit.ac_density
+    calls = []
+
+    def counted(x, coeffs):
+        calls.append(np.size(x))
+        return smooth(x, coeffs)
+
+    monkeypatch.setattr(cli.limit, "ac_density", counted)
+    counts = []
+    for bins in (200, 2000):
+        calls.clear()
+        assert run_cli(["converge", "--steps", "20", "--bins", str(bins)], capsys)[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 8, counts
 
 
 # ---------------------------------------------------------------------------
