@@ -7,14 +7,15 @@ bins, tolerance, output format and path) and emits either CSV (UTF-8, LF,
 status 2; a failed verification exits with status 1.
 
 Table bodies are the text ``"%.17g"`` gives, byte for byte.  Blocks of rows
-are formatted in exact integer arithmetic on numpy arrays, with CPython's
-``%`` only for values outside that route's domain; the blocks are hashed
-into the SHA-256 checksum and written one by one, never joined.
+are formatted on numpy arrays, their digits from an error-free float product,
+with CPython's ``%`` only for values outside that route's domain; the blocks
+are hashed into the SHA-256 checksum and written one by one, never joined.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -70,7 +71,9 @@ class RunConfig:
         }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="wojcikwalk",
         description=(
@@ -156,18 +159,25 @@ def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 _FLOAT = "%.17g"
 
-# Exact "%.17g" of whole blocks of floats.  A finite |x| = m * 2^q with
-# decimal exponent E in [-6, 16] has s = 16 - E in [0, 22], and its 17
-# significant digits are D = m * 5^s * 2^(q + s) rounded half-even: m * 5^s
-# < 2^105 is exact in two uint64 limbs.  Mixing uint64 with signed integers
-# would promote to float64, so the limb arithmetic stays in uint64.
-_U64 = np.uint64
-_ONE = _U64(1)
-_POW5 = np.array([5**s for s in range(23)], dtype=np.uint64)
-_POW5_LO, _POW5_HI = _POW5 & _U64(0xFFFFFFFF), _POW5 >> _U64(32)
-# "0000" … "9999" as one uint32 each; built with numpy, as a str table costs ~8 ms at import
-_DIGITS4 = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+# Exact "%.17g" of whole blocks of floats.  A finite |x| with decimal exponent
+# E in [-6, 16] has s = 16 - E in [0, 22], and its 17 significant digits are
+# D = |x| * 10^s rounded half-even.  10^s is exact in binary64 for s <= 22,
+# and Dekker's product (|x| split with 2^27 + 1, 10^s split in the tables)
+# gives the rounding error of p = fl(|x| * 10^s) exactly: with |x| in
+# [1e-6, 1e17), no partial product comes near underflow or overflow, and p
+# stays below 10^18 < 2^63 even where the estimated E is one low.  Where
+# 10^16 <= p, p > 2^53 is an even integer, so D = p + rint(error) is the
+# half-even rounding, ties included.
+_SPLIT = 2.0**27 + 1.0
+_POW10 = np.array([float(10**s) for s in range(23)])  # each exact
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_PARTS = np.stack((_POW10, _POW10_HI, _POW10 - _POW10_HI))  # 10^s, its high and low halves
+# "0000" … "9999" as one uint32 each, and their trailing zeros (4 for "0000");
+# built with numpy, as a Python loop over the groups costs milliseconds at import
+_GROUPS = np.arange(10**4, dtype=np.uint16)
+_DIGITS4 = _GROUPS[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
 _DIGITS4 = (48 + _DIGITS4).astype(np.uint8).view(np.uint32).ravel()
+_TZ4 = sum((_GROUPS % 10**k == 0).astype(np.uint8) for k in range(1, 5))
 # digits before the decimal point for E = -6 … 16; 17 (none) for "0.000ddd" at -4 <= E < 0
 _N_INT = np.array([17 if -4 <= e < 0 else max(e + 1, 1) for e in range(-6, 17)])
 _BLOCK_ROWS = 1024
@@ -202,34 +212,29 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """17-digit significand D and decimal exponent E of each float, and where both are exact.
 
     D is 0 for ±0.  Where the third array is False, D and E are placeholders:
-    for subnormals, inf, nan, E outside [-6, 16], exact rounding ties, and
-    values whose estimated E is off by one (near a power of ten).
+    for subnormals, inf, nan, E outside [-6, 16], and values whose estimated
+    E is off by one (near a power of ten).
     """
-    bits = v.view(np.uint64)
-    biased = (bits >> _U64(52)) & _U64(0x7FF)
-    normal = (biased != 0) & (biased != 0x7FF)
-    zero = (bits << _ONE) == 0
-    e = np.floor(np.log10(np.abs(np.where(normal, v, 1.0)))).astype(np.int64)  # E, or one off
-    fast = normal & (e >= -6) & (e <= 16)
-    e[~fast] = 0
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 1e-6) & (a < 1e17)  # nan compares False
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).clip(-6, 16).astype(np.int64)  # E, or one off; 0 where not fast
     s = 16 - e
-    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
-    m0, m1 = m & _U64(0xFFFFFFFF), m >> _U64(32)
-    p0, p1 = _POW5_LO.take(s), _POW5_HI.take(s)
-    low = m0 * p0
-    mid = m0 * p1 + m1 * p0
-    lo = low + (mid << _U64(32))
-    hi = m1 * p1 + (mid >> _U64(32)) + (lo < low)
-    k = 1075 - biased.astype(np.int64) - s  # D = (hi * 2^64 + lo) / 2^k
-    right = k > 0
-    kr = np.clip(k, 1, 63).astype(np.uint64)
-    rem = lo & ((_ONE << kr) - _ONE)
-    half = _ONE << (kr - _ONE)
-    trunc = np.where(right, (lo >> kr) | (hi << (_U64(64) - kr)), lo << np.clip(-k, 0, 63).astype(np.uint64))
-    d = trunc + (right & (rem > half))
+    ten, ten_hi, ten_lo = _POW10_PARTS.take(s, axis=1)
+    p = a * ten
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = a_hi * ten_hi - p  # the exact a * ten - p, term by term
+    err += a_hi * ten_lo
+    err += a_lo * ten_hi
+    err += a_lo * ten_lo
+    p = p.astype(np.int64)
+    d = p + np.rint(err).astype(np.int64)
     # 10^16 <= D < 10^17 exactly when E was right and rounding did not carry
-    ok = (fast & ~(right & (rem == half)) & (trunc >= _U64(10**16)) & (d < _U64(10**17))) | zero
-    d = np.where(ok, d, _U64(10**16)).astype(np.int64)
+    ok = (fast & (p + np.floor(err).astype(np.int64) >= 10**16) & (d < 10**17)) | zero
+    d = np.where(ok, d, 10**16)
     d[zero] = 0
     return d, e, ok
 
@@ -242,22 +247,26 @@ def _format_values(v: np.ndarray, seps: np.ndarray) -> bytes:
     """
     n = v.size
     d, e, ok = _decimal(v)
-    tz = np.zeros(n, np.int64)  # trailing zeros of D, by binary search
-    r = d
-    for step in (16, 8, 4, 2, 1):
-        q = r // 10**step
-        z = q * 10**step == r
-        r = np.where(z, q, r)
-        tz += z * step
+    # D's five digit groups, 1 + 4 * 4 digits: one int64 division, then uint32 ones
+    high = d // 10**8
+    low = (d - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    lead = high // np.uint32(10**8)
+    high -= lead * np.uint32(10**8)
+    g1, g3 = high // np.uint32(10**4), low // np.uint32(10**4)
+    groups = (lead, g1, high - g1 * np.uint32(10**4), g3, low - g3 * np.uint32(10**4))
+    tz = _TZ4.take(groups[4]).astype(np.int64)  # trailing zeros of D
+    pending = np.flatnonzero(groups[4] == 0)  # values whose zeros run on into the next group
+    for group in groups[3:0:-1]:
+        group = group.take(pending)
+        tz[pending] += _TZ4.take(group)
+        pending = pending[group == 0]
     n_int = _N_INT.take(e + 6)
     n_dig = np.maximum(17 - tz, np.where(e >= 0, e + 1, 1))  # fixed notation keeps integer zeros
     n_chars = n_dig + (n_dig > n_int)  # digits and decimal point
 
     cells = np.zeros((n, _CELL // 4), np.uint32)  # D's 17 digits in bytes 7 … 23
-    lead = d // 10**16
-    g1 = d // 10**8 - lead * 10**8
-    g2 = d % 10**8
-    for col, group in enumerate((lead, g1 // 10**4, g1 % 10**4, g2 // 10**4, g2 % 10**4), start=1):
+    for col, group in enumerate(groups, start=1):
         cells[:, col] = _DIGITS4.take(group)
     digits = cells.view(np.uint8)
     shifted = np.zeros_like(digits)  # the same digits in bytes 8 … 24

@@ -404,6 +404,19 @@ def test_output_file_writing(tmp_path, capsys):
     assert len(rows) == 20
 
 
+def test_one_parser_keeps_each_subcommand_default():
+    # main parses every call with one parser; values given in one call must
+    # not become a later call's defaults
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    for argv in (["simulate", "--steps", "3", "--bins", "5"], ["density", "--bins", "7"], ["converge", "--steps", "9"]):
+        parser.parse_args(argv)
+    defaults = {"simulate": (100, 40), "density": (0, 200), "verify": (8, 40), "converge": (10000, 71)}
+    for command, steps_bins in defaults.items():
+        args = parser.parse_args([command])
+        assert (args.steps, args.bins) == steps_bins, command
+
+
 def test_unwritable_output_path_exits_two(capsys):
     code, _, err = run_cli(
         ["density", "--bins", "20", "--out", "/nonexistent/dir/out.csv"], capsys
@@ -572,10 +585,25 @@ def formatter_inputs(family):
     if family == "ties":  # exactly half-way between two 17-digit decimals: half-even
         j = np.arange(0, 2**16, 13)
         return np.concatenate((1.0 + (2 * j + 1) * 2.0**-17, -1.0 - (2 * j + 1) * 2.0**-17))
+    if family == "near_ties":  # 18 digits ending in 5, and one ulp each side, at every s = 16 - E
+        values = []
+        for s in range(23):
+            for digits in rng.integers(10**16, 10**17, 40).tolist():
+                x = float(f"{digits}5e{-s - 1}")
+                values += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+        return np.array(values + [-v for v in values])
+    if family == "mantissa_ends":  # m = 2^52 and 2^53 - 1 times every 2^q in decades -6 … 16
+        q = np.arange(-73, 4)
+        values = np.concatenate((np.ldexp(2.0**52, q), np.ldexp(2.0**53 - 1.0, q)))
+        values = values[(values >= 1e-6) & (values < 1e17)]
+        assert set(np.floor(np.log10(values)).astype(int).tolist()) == set(range(-6, 17))
+        return np.concatenate((values, -values))
     raise ValueError(family)
 
 
-@pytest.mark.parametrize("family", ["bit_patterns", "log_uniform", "powers_of_ten", "ties"])
+@pytest.mark.parametrize(
+    "family", ["bit_patterns", "log_uniform", "powers_of_ten", "ties", "near_ties", "mantissa_ends"]
+)
 @pytest.mark.parametrize("cols", [1, 3, 8])
 def test_formatter_matches_percent(family, cols):
     values = formatter_inputs(family)
@@ -590,6 +618,16 @@ def test_formatter_block_boundaries(rows):
     blocks = list(cli._body_blocks(table))
     assert len(blocks) == -(-rows // cli._BLOCK_ROWS)
     assert b"".join(blocks).decode("ascii") == percent_body(table)
+
+
+def test_percent_formats_few_values_of_a_density_table(capsys, monkeypatch):
+    # same bytes either way: this pins how much of a real table the exact
+    # route covers, so that a slip to CPython's % shows here
+    tables = []
+    monkeypatch.setattr(cli, "_emit_table", lambda config, header, table, *args: tables.append(table))
+    assert run_cli(["density", "--bins", "100000", "--phi", "0.37", "--init", "0.6,0,0.8,1"], capsys)[0] == 0
+    (table,) = tables
+    assert np.count_nonzero(~cli._decimal(table.ravel())[2]) <= table.size // 1000
 
 
 # walk-derived columns of each table: simulate's t * P, converge's bin masses
