@@ -20,9 +20,15 @@ movers in place, and the difference goes straight into the shifted slot of
 a second right-mover row; the two right-mover rows swap every step.  That
 is two array passes per step instead of four, and one rounding per
 component instead of two.  The passes are two ufunc calls with a positional
-out on three views; the rest of a step is scalar bookkeeping through
-``.item``.  A walk from [1, 0] costs 3.5 us per step at t = 2000 and 8.8 us
-at t = 10^4, and ``cesaro_average`` at T = 5000 takes 23 ms (minimum of 30
+out on views made once per segment of 64 steps.  In the first
+2 log2(min |alpha -+ beta| / tiny) - 16 steps from [alpha, beta] (2028
+from [1, 0]; fewer where a target's light cone binds sooner) the window
+can neither trim nor meet the cone, and a step is only those two calls,
+the defect on even steps and the yield; later steps add scalar
+bookkeeping through ``.item``.  Both keep every bit of a step that slices
+its views and tests its edges every time (see ``_populated_rows``).  A
+walk from [1, 0] costs 2.6 us per step at t = 2000 and 8.6 us at
+t = 10^4, and ``cesaro_average`` at T = 5000 takes 18 ms (minimum of 30
 rounds on a shared 2-CPU x86-64 VM, numpy 2.4).  Each unnormalized step
 multiplies the state by sqrt(2); every 64 steps the window is multiplied
 by 2^-32, which is exact, and ``evolve`` applies the remaining 2^(-pend/2)
@@ -90,6 +96,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -225,6 +232,20 @@ class Distribution:
     prob: np.ndarray
 
 
+def _integer(value: int, name: str) -> int:
+    """``value`` as a Python int, through ``operator.index``; a bool is refused too.
+
+    Raises TypeError naming the argument, so a float step count fails with
+    its own message rather than an unrelated one from numpy or itertools.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
+
+
 def _check_steps(t: int) -> None:
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t!r}")
@@ -241,12 +262,12 @@ def _populated_rows(
     views whose column j is site 2j - tau (columns past tau hold zeros),
     and the number of unnormalized steps since the last rescale.  The true
     amplitudes are the yielded ones times 2^(-pend / 2).  The next step
-    overwrites both views; it costs 3.5 us at t = 2000 and 8.8 us at
+    overwrites both views; it costs 2.6 us at t = 2000 and 8.6 us at
     t = 10^4 (module docstring).
 
-    A step runs in place on the window of columns [lo, hi): L - R goes
-    straight into ``spare[lo + 1 : hi + 1]``, one column up, L + R replaces
-    ``left[lo:hi]``, and then ``spare`` and ``right`` swap.  ``left[hi]``
+    The live sites are the window of columns [lo, hi).  A step runs in
+    place: L - R goes straight into ``spare``, one column up, L + R
+    replaces ``left``, and then ``spare`` and ``right`` swap.  ``left[hi]``
     holds zero, as it becomes the new top column, and ``spare[lo]`` is
     zeroed.  Walks of at most 512 steps multiply both by 1/sqrt(2) (two
     more passes); a longer walk's step is sqrt(2) times the unitary one.
@@ -265,6 +286,34 @@ def _populated_rows(
     window never grows back over them.  Without a target, every column
     outside the window holds exact zeros.  The checks run before anything
     is allocated.
+
+    Segment views.  The steps come in segments of 64, the rescale period,
+    and the views that the two ufunc calls work on are made once per
+    segment, over the columns [lo, top) with top = min(hi + 63, cap, t):
+    every column a step of the segment can reach.  They also step columns
+    outside the window, which changes no live value.  A step moves a value
+    to its own column and one column up, so a column below lo reaches the
+    window only through ``spare[lo]``, which is zeroed after the step as
+    before.  The columns from hi up hold zeros, and their sums and
+    differences are zeros.  Without a target the columns below lo hold
+    zeros too; with one they may hold values from outside the backward
+    cone, which are stepped on and never read.
+
+    Quiet steps.  The edge tests and the cone clamp are skipped in the
+    steps where they cannot fire.  Until a column leaves, the window is
+    the light cone.  Its bottom column holds fl(fl(alpha + beta) * omega)
+    in ``left`` and its top column the same of alpha - beta in ``right``,
+    each times an exact power of two: a step adds an exact zero to a
+    front, and the rescale is exact while it is normal.  The other entry
+    of each edge column is an exact zero.  Walks of at most 512 steps round
+    a front once more per step.  So after s steps a front's true value is
+    |alpha -+ beta| 2^(-s/2) up to a few roundings, and no edge test can
+    pass while s <= 2 log2(min |alpha -+ beta| / tiny) - 16, where the
+    fronts are still above 2^8 tiny.  The cone clamps no column before step
+    min(-shift, cap - 1).  The quiet steps are those before the smaller
+    bound, from step 2 on: lo stays 0, and column 0 of both right-mover
+    rows holds zero from then on, so ``spare[lo]`` needs no store either.
+    With alpha = +-beta exactly a front is zero and no step is quiet.
     """
     _check_steps(t)
     if target is None:
@@ -273,24 +322,32 @@ def _populated_rows(
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
     # the two right-mover rows swap every step
     left, right, spare = np.zeros((3, t + 1), dtype=np.complex128)
-    left[0], right[0] = params.initial_spinor()
+    alpha, beta = params.initial_spinor()
+    left[0], right[0] = alpha, beta
     defect = params.defect_factor()
+    front = min(abs(alpha + beta), abs(alpha - beta))
+    quiet = min(-shift, cap - 1, int(2.0 * math.log2(front / _TINY)) - 16) if front else 0
     lo, hi, pend = 0, 1, 0
     yield left, right, pend
     short = t <= _SHORT_WALK
+    subtract, add = np.subtract, np.add
     for tau in range(t):
-        now_left, now_right, new_right = left[lo:hi], right[lo:hi], spare[lo + 1 : hi + 1]
-        np.subtract(now_left, now_right, new_right)
-        np.add(now_left, now_right, now_left)
-        spare[lo] = 0.0
+        if tau % _RESCALE_EVERY == 0:  # segment views (docstring)
+            top = min(hi + _RESCALE_EVERY - 1, cap, t)
+            now_left, now_right, new_right = left[lo:top], right[lo:top], spare[lo + 1 : top + 1]
+            then_right, then_new = spare[lo:top], right[lo + 1 : top + 1]
+        subtract(now_left, now_right, new_right)
+        add(now_left, now_right, now_left)
         if short:
             np.multiply(now_left, _INV_SQRT2, now_left)
             np.multiply(new_right, _INV_SQRT2, new_right)
-        origin = tau // 2
-        if tau % 2 == 0 and lo <= origin < hi:
-            left[origin] = left.item(origin) * defect
-            spare[origin + 1] = spare.item(origin + 1) * defect
+        if tau % 2 == 0:
+            origin = tau // 2
+            if lo <= origin < hi:
+                left[origin] = left.item(origin) * defect
+                spare[origin + 1] = spare.item(origin + 1) * defect
         right, spare = spare, right
+        now_right, new_right, then_right, then_new = then_right, then_new, now_right, new_right
         hi += 1
         if not short:
             pend += 1
@@ -298,6 +355,10 @@ def _populated_rows(
                 left[lo:hi] *= _RESCALE
                 right[lo:hi] *= _RESCALE
                 pend = 0
+        if 1 < tau < quiet:  # nothing below can fire (docstring)
+            yield left, right, pend
+            continue
+        right[lo] = 0.0  # the spare row before the swap
         tiny = _THRESHOLDS[pend]
         floor = tau + 1 + shift
         if lo < floor:
@@ -348,7 +409,10 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     ------
     StepLimitError
         When t exceeds ``MAX_STEPS``, before anything is allocated.
+    TypeError
+        When t is not an integer (a bool is not one); numpy integers are.
     """
+    t = _integer(t, "t")
     if t <= _SHORT_WALK:
         for left, right, _ in _populated_rows(params, t):
             pass
@@ -378,6 +442,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
     are accumulated by final site and arrival direction.  Exponential cost,
     only intended as a small-t cross-check.
     """
+    t = _integer(t, "t")
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t!r}")
     if t > _PATH_SUM_LIMIT:
@@ -440,8 +505,10 @@ def cesaro_average(params: WalkParams, T: int, x: int) -> float:
     is off by less than 1e-14 relative at T <= 700 on random phases; at the
     trapping phase 1/2 and |x| <= 3, by up to 2.2e-14 at T = 2001 (6 random
     spinors) and 6.3e-14 at T = 5000 (12).  Raises StepLimitError, before
-    allocating, when T - 1 exceeds ``MAX_STEPS``.
+    allocating, when T - 1 exceeds ``MAX_STEPS``, and TypeError when T or
+    x is not an integer (a bool is not one; numpy integers are).
     """
+    T, x = _integer(T, "T"), _integer(x, "x")
     if T < 1:
         raise ValueError(f"need T >= 1, got {T!r}")
     _check_steps(T - 1)

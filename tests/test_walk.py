@@ -281,6 +281,28 @@ def test_step_cap():
         cesaro_average(RIGHT, MAX_STEPS + 2, 10**7)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda value: evolve(RIGHT, value), "t"),
+        (lambda value: path_sum_field(RIGHT, value), "t"),
+        (lambda value: cesaro_average(RIGHT, value, 0), "T"),
+        (lambda value: cesaro_average(RIGHT, 10, value), "x"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.0, 1.0, True, np.True_, np.float64(3.0), "4", None])
+def test_walk_entry_points_refuse_non_integers_by_name(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call(value)
+
+
+def test_walk_entry_points_take_numpy_integers():
+    assert evolve(RIGHT, np.int64(3)).time == 3
+    assert type(evolve(RIGHT, np.int32(600)).time) is int
+    assert path_sum_field(RIGHT, np.uint8(3)).time == 3
+    assert cesaro_average(RIGHT, np.int64(25), np.int16(-2)) == cesaro_average(RIGHT, 25, -2)
+
+
 # ---------------------------------------------------------------------------
 # bit identity with the frozen reference kernel
 # ---------------------------------------------------------------------------
@@ -539,6 +561,75 @@ def test_long_cesaro_average_is_bit_identical_to_the_reference_kernel():
         assert cesaro_average(params, T, x) == reference_cesaro(params, T, x), (T, x)
     for x in (0, 1, 1938, -1937):
         assert cesaro_average(SLANTED, 2100, x) == reference_cesaro(SLANTED, 2100, x), x
+
+
+class OppositeStart(WalkParams):
+    """The start [a, -b]: with a = b its left-moving front alpha + beta is an exact zero.
+
+    ``WalkParams`` cannot spell it, since exp(i pi) is not exactly -1 in
+    floating point; the kernel reads only the spinor and the defect factor.
+    """
+
+    def initial_spinor(self) -> np.ndarray:
+        return np.array([self.a, -self.b], dtype=np.complex128)
+
+
+def assert_every_yield_matches_the_reference(params, t, target=None):
+    """Each yield of the kernel has the bits of ``reference_rows`` at the same time.
+
+    Without a target every column is compared.  With one, only the columns
+    of the backward light cone of (target, t): ``reference_rows`` zeroes the
+    columns outside it, which cannot reach the target.
+    """
+    if target is None:
+        shift, cap = -t, t + 1
+    else:
+        shift, cap = -((t - target) // 2), (t + target) // 2 + 1
+    kernel, reference = walk._populated_rows(params, t, target), reference_rows(params, t, target)
+    for tau, ((left, right, pend), (want_left, want_right, want_pend)) in enumerate(
+        zip(kernel, reference)
+    ):
+        cone = slice(max(tau + shift, 0), min(cap, tau + 1))
+        assert pend == want_pend, (params, t, target, tau)
+        got = np.array((left[cone], right[cone])).view(np.uint64)
+        want = np.array((want_left[cone], want_right[cone])).view(np.uint64)
+        assert np.array_equal(got, want), (params, t, target, tau)
+        if target is None:
+            assert not left[tau + 1 :].any() and not right[tau + 1 :].any(), (params, t, tau)
+    assert tau == t
+
+
+# a step segment is 64 steps, walks past 512 steps are unnormalized, and the
+# [1, 0] walk's fronts leave the normal doubles at t = 2045
+@pytest.mark.parametrize("t", [63, 64, 65, 128, 512, 513, *range(2040, 2051)])
+def test_every_yield_is_bit_identical_to_the_reference_kernel(t):
+    rng = np.random.default_rng(t)
+    for params in (WalkParams(phi=0.37, a=1.0, b=0.0), WalkParams(**random_fields(rng))):
+        assert_every_yield_matches_the_reference(params, t)
+
+
+@pytest.mark.parametrize("t", [64, 513, 2100])
+def test_every_yield_from_a_front_at_or_near_zero_is_bit_identical_to_the_reference(t):
+    # alpha = +-beta exactly: a front is zero from the first step on, and
+    # the window trims at once; SLANTED's front leaves the doubles at 1939
+    half = 0.7071067811865476
+    for params in (
+        WalkParams(phi=0.5, a=half, b=half),
+        OppositeStart(phi=0.25, a=half, b=half),
+        SLANTED,
+    ):
+        assert_every_yield_matches_the_reference(params, t)
+
+
+@pytest.mark.parametrize(
+    "t, target", [(2100, 2090), (2100, -2091), (2100, 0), (513, 500), (65, -64)]
+)
+def test_every_cone_yield_is_bit_identical_to_the_reference(t, target):
+    # with |target| close to t the backward light cone clamps the window
+    # within a few steps, long before the fronts reach the smallest double
+    rng = np.random.default_rng(101)
+    for params in (WalkParams(**random_fields(rng)), SLANTED):
+        assert_every_yield_matches_the_reference(params, t, target)
 
 
 # ---------------------------------------------------------------------------
