@@ -2,8 +2,9 @@
 
 The package has four layers:
 
-* ``walk``: exact unitary simulation (dense complex amplitudes), brute-force
-  path-sum cross-check, distributions and time averages.
+* ``walk``: exact unitary simulation (complex amplitudes on the sites the
+  walker can reach), brute-force path-sum cross-check, distributions and
+  time averages.
 * ``limit``: the analytic limit of the rescaled position, an atom at the
   origin plus a weighted arcsine-type density, in closed form.
 * ``spectral``: an independent reconstruction of the same density from

@@ -424,7 +424,7 @@ def cmd_simulate(config: RunConfig) -> int:
     state = _evolve(config)
     dist = walk.distribution(state)
     coeffs, integral, atom = _measure(config.params, config.tolerance)
-    pairs = walk.rescaled_distribution(dist)[::2]  # sites of the populated parity class
+    pairs = walk.rescaled_distribution(dist)  # the t + 1 sites of t's parity
     table = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs)))
     meta_pairs = [("C", atom), ("integral", integral)]
     _emit_table(config, "x_over_t,scaled_prob,density", table, meta_pairs, csv_meta=False)

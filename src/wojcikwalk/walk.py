@@ -1,9 +1,10 @@
 """Exact unitary evolution of a defect-coin quantum walk on the integer line.
 
 The coin is the Hadamard matrix at every site except the origin, where it
-carries an extra phase factor exp(2*pi*i*phi).  A state at time t is a pair
-of complex amplitude arrays (left movers, right movers) on the support
-[-t, t].  One step sends
+carries an extra phase factor exp(2*pi*i*phi).  After t steps the walker
+can only sit on the t + 1 sites -t, -t + 2, ..., t of t's parity, and a
+state at time t is a pair of complex amplitude arrays (left movers, right
+movers) on exactly those sites.  One step sends
 
     newL(x) = c(x+1) * (L(x+1) + R(x+1)) / sqrt(2)
     newR(x) = c(x-1) * (L(x-1) - R(x-1)) / sqrt(2)
@@ -189,14 +190,12 @@ class WalkParams:
 
 @dataclass
 class AmplitudeField:
-    """Walk state at a fixed time: dense amplitudes over the support [-t, t].
+    """Walk state at a fixed time: amplitudes on the t + 1 sites of t's parity.
 
-    ``amplitudes`` has shape (2, 2t+1); row 0 holds left movers, row 1 right
-    movers, and column t is lattice site 0.
-
-    Parity invariant: after t steps only the sites x with x = t (mod 2) can
-    hold amplitude, so every state that ``evolve`` and ``path_sum_field``
-    produce has exact zeros in its odd columns.
+    ``amplitudes`` has shape (2, t + 1); row 0 holds left movers, row 1
+    right movers, and column j is lattice site 2j - t, so ``positions()``
+    is -t, -t + 2, ..., t.  The other sites of [-t, t] hold no amplitude
+    after t steps and are not stored.
 
     A field from ``evolve`` past t = 2044 holds exact zeros at the
     underflowed front of the light cone, where an unwindowed step would
@@ -213,7 +212,7 @@ class AmplitudeField:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("time must be nonnegative")
-        expected = (2, 2 * self.time + 1)
+        expected = (2, self.time + 1)
         if self.amplitudes.shape != expected:
             raise ValueError(
                 f"amplitudes shape {self.amplitudes.shape} does not match "
@@ -221,7 +220,7 @@ class AmplitudeField:
             )
 
     def positions(self) -> np.ndarray:
-        return np.arange(-self.time, self.time + 1)
+        return np.arange(-self.time, self.time + 1, 2)
 
 
 @dataclass
@@ -402,8 +401,8 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     2^-(pend // 2), times 1/sqrt(2) for odd pend, is folded into the two
     coefficients.  The last basis walk is cached, so the next spinor at the
     same (phi, t) runs no step; a cached and a fresh basis give the same
-    bits.  The result is scattered into a new dense field with zeros
-    between and beyond.
+    bits.  Either way the field holds the kernel's t + 1 columns in a new
+    array of its own.
 
     Raises
     ------
@@ -416,17 +415,13 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     if t <= _SHORT_WALK:
         for left, right, _ in _populated_rows(params, t):
             pass
-        amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-        amps[0, ::2] = left
-        amps[1, ::2] = right
-        return AmplitudeField(amps, t)
+        return AmplitudeField(np.array((left, right)), t)
     (left, right), pend = _basis_walk(params.phi, t)
     scale = math.ldexp(_INV_SQRT2 if pend % 2 else 1.0, -(pend // 2))
     alpha, beta = params.initial_spinor() * scale
     if t % 2 == 0:
         beta = -beta
-    amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-    out_left, out_right = amps[:, ::2]
+    out_left, out_right = amps = np.empty((2, t + 1), dtype=np.complex128)
     np.multiply(left, alpha, out=out_left)
     out_left += beta * right[::-1]
     np.multiply(right, alpha, out=out_right)
@@ -451,7 +446,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
         return AmplitudeField(params.initial_spinor().reshape(2, 1), 0)
     defect = params.defect_factor()
     alpha, beta = params.initial_spinor()
-    out = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+    out = np.zeros((2, t + 1), dtype=np.complex128)
     for bits in range(1 << t):
         pos = 0
         amp = 0j
@@ -468,24 +463,24 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
             amp = c * _INV_SQRT2 * val
             pos += 1 if move else -1
             direction = move
-        out[direction, pos + t] += amp
+        out[direction, (pos + t) // 2] += amp
     return AmplitudeField(out, t)
 
 
 def distribution(state: AmplitudeField) -> Distribution:
-    """P_t(x) = |L_x|^2 + |R_x|^2 over the support [-t, t]."""
+    """P_t(x) = |L_x|^2 + |R_x|^2 over the sites of the state's ``positions()``."""
     prob = np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
     return Distribution(state.positions(), prob)
 
 
 def rescaled_distribution(dist: Distribution) -> np.ndarray:
-    """Pairs (x/t, t*P_t(x)) for every site in the support -t..t.
+    """Pairs (x/t, t*P_t(x)) for every site of the support -t, -t + 2, ..., t.
 
     This is the rescaling under which the walk's position law converges;
-    t is read off the support, and t = 0 has no rescaled space and is
+    t is the support's last site, and t = 0 has no rescaled space and is
     rejected.
     """
-    t = len(dist.support) // 2
+    t = int(dist.support[-1])
     if t <= 0:
         raise ValueError("rescaled distribution needs t >= 1")
     return np.column_stack((dist.support / t, t * dist.prob))

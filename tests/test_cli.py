@@ -357,7 +357,7 @@ def test_long_walks_state_their_cost_before_walking(command, capsys, monkeypatch
 
     def stand_in(params, steps):
         err_before_walk.append(capsys.readouterr().err)
-        amps = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
+        amps = np.zeros((2, steps + 1), dtype=np.complex128)
         amps[:, 0] = [0.6, 0.8j]  # site -t
         return walk.AmplitudeField(amps, steps)
 

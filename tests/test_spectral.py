@@ -47,6 +47,17 @@ def test_axis_frequencies_are_rejected():
             weight_from_residues(x, WalkParams(0.5, 1.0, 0.0))
 
 
+def test_residue_weight_near_the_origin_keeps_the_documented_accuracy():
+    # the x -> k -> cos k round trip keeps k to about 1e-16 absolute, so the
+    # relative error grows like 1/|x|: measured 1.6e-7 at x = 1e-9 and
+    # 3.9e-7 at x = -1e-9
+    init = WalkParams(0.3, 0.6, 0.8, phi1=0.0, phi2=1.0)
+    coeffs = weight_coefficients(init)
+    for x in (1e-9, -1e-9):
+        want = weight(x, coeffs)
+        assert abs(weight_from_residues(x, init) - want) <= 6e-7 * abs(want), x
+
+
 def test_residue_weight_matches_closed_forms():
     xs = np.linspace(-S + 0.02, S - 0.02, 41)
     for case_id in ("hadamard_10", "halfphase_10", "halfphase_sym", "quarterphase_10"):
@@ -212,47 +223,56 @@ def reference_residue_norm(u, f, branch, phi, init):
     return item1 * item2 * item3 * item4
 
 
-def reference_k_masses(phi, init, n_k, bins):
-    """The quadrant-folded loop evaluated whole-chunk, four residue norms at a time.
+def fsum_k_masses(phi, init, n_k, bins):
+    """Per-bin ``math.fsum`` of the quadrant-folded deposits: each mass rounded once.
 
-    Masses and per-bin sample counts; the blocked route must reproduce the
-    masses bit for bit, since it evaluates the same expressions and sums
-    each 250 000-frequency chunk of each branch in the same order.
+    Also the per-bin sample counts of the whole grid, four per quadrant-I
+    frequency and branch.
     """
     quarter = math.ceil(n_k / 4)
     dk = 2.0 * math.pi / (4 * quarter)
     bin_width = 2.0 * S / bins
-    masses = np.zeros(bins)
-    counts = np.zeros(bins)
-    chunk = 250_000
-    for start in range(0, quarter, chunk):
-        k = (np.arange(start, min(start + chunk, quarter)) + 0.5) * dk
-        u, f = reference_pole(np.cos(k))
-        f_conj = f.conj()
-        for branch in (1, -1):
-            norms = reference_residue_norm(u, f, branch, phi, init) + reference_residue_norm(
-                u, f_conj, branch, phi, init
-            )
-            where = np.clip(((branch * u + S) / bin_width).astype(int), 0, bins - 1)
-            masses += np.bincount(where, weights=norms * (dk / math.pi), minlength=bins)
-            counts += np.bincount(where, minlength=bins)
-    return masses, 4 * counts
+    k = (np.arange(quarter) + 0.5) * dk
+    u, f = reference_pole(np.cos(k))
+    where, deposits = [], []
+    for branch in (1, -1):
+        norms = reference_residue_norm(u, f, branch, phi, init) + reference_residue_norm(
+            u, f.conj(), branch, phi, init
+        )
+        where.append(np.clip(((branch * u + S) / bin_width).astype(int), 0, bins - 1))
+        deposits.append(norms * (dk / math.pi))
+    where, deposits = np.concatenate(where), np.concatenate(deposits)
+    order = np.argsort(where, kind="stable")
+    cuts = np.searchsorted(where[order], np.arange(bins + 1))
+    deposits = deposits[order].tolist()
+    masses = np.array([math.fsum(deposits[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+    return masses, 4 * np.diff(cuts)
 
 
 @pytest.mark.parametrize(
     "n_k, bins",
-    # 10^6 + 4: a second chunk of one frequency; 1 008 000: both chunks reach
-    # the centre bin, which both branches share, so the order in which the
-    # branches are added into the masses shows; 300 bins: the undersampled warning
-    [(10**4, 20), (10**4, 300), (10**5, 40), (10**5 + 2, 41), (10**6 + 4, 71), (1_008_000, 21)],
+    # 300 bins: the undersampled warning; 10^6 + 4 and 1 008 000: the edge
+    # bins of hadamard_sym sum ~10^5 near-equal deposits each
+    [
+        (10**4, 20),
+        (10**4, 300),
+        (10**5, 40),
+        (10**5 + 2, 41),
+        (10**6 + 4, 71),
+        (10**6 + 4, 40),
+        (1_008_000, 21),
+    ],
 )
-def test_k_masses_keep_the_bits_of_the_whole_chunk_loop(n_k, bins):
+def test_k_masses_match_the_exactly_summed_deposits(n_k, bins):
+    # measured at most 3.9e-14 (hadamard_sym, n_k = 10^6 + 4, 40 bins);
+    # summing each branch per chunk of 250 000 frequencies before adding it
+    # to the masses reached 9.4e-14 there and 9.3e-14 at 1 008 000
     for init in oracle_configurations():
-        want, counts = reference_k_masses(init.phi, init, n_k, bins)
+        want, counts = fsum_k_masses(init.phi, init, n_k, bins)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", CoarseKGridWarning)
             got = density_via_k_integration(init.phi, init, n_k, bins).masses
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (init, n_k, bins)
+        assert np.max(np.abs(got - want)) <= 6e-14, (init, n_k, bins)
         low = int(counts.min())  # 28 at (10^4, 300)
         if low < 32:
             assert len(caught) == 1 and f"only {low} samples" in str(caught[0].message)
@@ -293,6 +313,13 @@ def test_grid_parameter_validation():
         density_via_k_integration(0.5, init, n_k=9_999, bins=40)
     with pytest.raises(ValueError):
         density_via_k_integration(0.5, init, n_k=10**5, bins=19)
+    # n_k and bins are read as evolve reads t: numpy integers are taken, a
+    # float or a bool is refused by name before anything runs
+    non_integers = ((1e5, 40, "n_k"), (100000.5, 40, "n_k"), (10**5, 40.0, "bins"), (10**5, True, "bins"))
+    for n_k, bins, name in non_integers:
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            density_via_k_integration(0.5, init, n_k=n_k, bins=bins)
+    assert len(density_via_k_integration(0.5, init, n_k=np.int64(10**4), bins=np.int32(20)).masses) == 20
     # phi obeys the rule of WalkParams.phi, with its message
     for phi in (math.nan, 1.0, -0.1):
         with pytest.raises(ValueError) as refused:

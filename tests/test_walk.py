@@ -89,7 +89,7 @@ def extended_precision_walk(params, times):
 def extended_precision_error(state, params):
     """Max |A - A_ld| over the populated sites of an ``evolve`` field."""
     want = extended_precision_walk(params, ORACLE_TIMES)[state.time]
-    return float(np.max(np.abs(state.amplitudes[:, ::2].astype(np.clongdouble) - want)))
+    return float(np.max(np.abs(state.amplitudes.astype(np.clongdouble) - want)))
 
 
 ORACLE_TIMES = (10, 64, 513, 2000, 3000, 4000)
@@ -149,10 +149,9 @@ def test_one_step_splits_evenly_for_any_phase():
     for phi in (0.0, 0.25, 0.5, 0.77):
         state = evolve(WalkParams(phi=phi, a=1.0, b=0.0), 1)
         dist = distribution(state)
-        p_left, p_origin, p_right = dist.prob  # sites -1, 0, 1
+        p_left, p_right = dist.prob  # sites -1, 1
         assert abs(p_left - 0.5) <= 1e-15
         assert abs(p_right - 0.5) <= 1e-15
-        assert p_origin == 0.0
         # the left mover at site -1 carries the origin coin phase
         left = state.amplitudes[0, 0]
         assert abs(left - cmath.exp(2j * math.pi * phi) * INV_SQRT2) <= 1e-15
@@ -164,14 +163,14 @@ def test_two_step_distribution_for_any_phase():
     for phi in (0.0, 0.3, 0.5):
         dist = distribution(evolve(WalkParams(phi=phi, a=1.0, b=0.0), 2))
         for x, p in {-2: 0.25, 0: 0.5, 2: 0.25}.items():
-            assert abs(dist.prob[x + 2] - p) <= 1e-15
+            assert abs(dist.prob[(x + 2) // 2] - p) <= 1e-15
 
 
 def test_three_step_hadamard_values():
     dist = distribution(evolve(RIGHT, 3))
     want = {-3: 0.125, -1: 0.625, 1: 0.125, 3: 0.125}
     for x, p in want.items():
-        assert abs(dist.prob[x + 3] - p) <= 1e-15
+        assert abs(dist.prob[(x + 3) // 2] - p) <= 1e-15
 
 
 def test_four_step_defect_interference():
@@ -181,8 +180,8 @@ def test_four_step_defect_interference():
     want_plain = {-4: 1 / 16, -2: 5 / 8, 0: 1 / 8, 2: 1 / 8, 4: 1 / 16}
     want_half = {-4: 1 / 16, -2: 1 / 8, 0: 5 / 8, 2: 1 / 8, 4: 1 / 16}
     for x in (-4, -2, 0, 2, 4):
-        assert abs(plain.prob[x + 4] - want_plain[x]) <= 1e-12
-        assert abs(half.prob[x + 4] - want_half[x]) <= 1e-12
+        assert abs(plain.prob[(x + 4) // 2] - want_plain[x]) <= 1e-12
+        assert abs(half.prob[(x + 4) // 2] - want_half[x]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +195,6 @@ def test_evolve_zero_steps_is_initial_state():
     assert state.time == 0
     assert state.amplitudes.shape == (2, 1)
     assert np.allclose(state.amplitudes[:, 0], params.initial_spinor(), atol=1e-16)
-
-
-def test_parity_sites_are_exactly_empty():
-    state = evolve(WalkParams(phi=0.3, a=0.6, b=0.8), 9)
-    dist = distribution(state)
-    for x in range(-9, 10):
-        if (x + 9) % 2 == 1:
-            assert dist.prob[x + 9] == 0.0
 
 
 def test_unitarity_long_run():
@@ -228,10 +219,13 @@ def test_symmetric_initial_state_gives_symmetric_distribution():
 
 def test_spinor_and_support_accessors():
     state = evolve(RIGHT, 5)
-    assert np.array_equal(state.positions(), np.arange(-5, 6))
+    assert np.array_equal(state.positions(), np.arange(-5, 6, 2))
     dist = distribution(state)
     assert np.array_equal(dist.support, state.positions())
-    assert dist.prob.shape == (11,)
+    assert dist.prob.shape == (6,)
+    # one column per site of t's parity, on either side of the 512-step switch
+    assert path_sum_field(RIGHT, 5).amplitudes.shape == (2, 6)
+    assert evolve(RIGHT, 600).amplitudes.shape == (2, 601)
 
 
 def test_amplitude_field_shape_validation():
@@ -308,17 +302,26 @@ def test_walk_entry_points_take_numpy_integers():
 # ---------------------------------------------------------------------------
 
 
+def assert_dense_field_is_parity_padded(compact, dense):
+    """The frozen (2, 2t + 1) field: exact zeros off t's parity, the compact field on it."""
+    assert not dense[:, 1::2].any()
+    assert np.array_equal(compact.view(np.uint64), dense[:, ::2].copy().view(np.uint64))
+
+
 def test_evolve_is_bit_identical_to_frozen(frozen):
+    # the frozen kernel stores all 2t + 1 sites of [-t, t]; evolve stores
+    # the t + 1 of t's parity, and the others must be empty
     rng = np.random.default_rng(41)
     for _ in range(6):
         fields = random_fields(rng)
         for t in (0, 1, 2, 3, 7, 64, 501):
             got = evolve(WalkParams(**fields), t)
             want = frozen.walk.evolve(frozen.walk.WalkParams(**fields), t)
-            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert_dense_field_is_parity_padded(got.amplitudes, want.amplitudes)
             got_prob = distribution(got).prob.view(np.uint64)
             want_prob = frozen.walk.distribution(want).prob.view(np.uint64)
-            assert np.array_equal(got_prob, want_prob)
+            assert np.array_equal(got_prob, want_prob[::2])
+            assert not want_prob[1::2].any()
 
 
 def subnormal_count(values):
@@ -334,7 +337,7 @@ def test_underflow_window_changes_only_negligible_components(frozen):
     for params in ORACLE_PARAMS:
         got = evolve(params, 3000)
         want = extended_precision_walk(params, ORACLE_TIMES)[3000]
-        dropped = got.amplitudes[:, ::2] == 0
+        dropped = got.amplitudes == 0
         assert dropped.any()
         assert np.max(np.abs(want[dropped])) < TINY
         assert extended_precision_error(got, params) <= 1e-14
@@ -377,7 +380,12 @@ def test_walks_up_to_512_steps_keep_the_frozen_kernel_bits(frozen):
     fields = random_fields(np.random.default_rng(67))
     ref_params = frozen.walk.WalkParams(**fields)
     got = evolve(WalkParams(**fields), 512)
-    assert np.array_equal(got.amplitudes, frozen.walk.evolve(ref_params, 512).amplitudes)
+    assert_dense_field_is_parity_padded(got.amplitudes, frozen.walk.evolve(ref_params, 512).amplitudes)
+    # one step past the switch the bits part (2.1e-14 here), but the frozen
+    # field still holds nothing off t's parity
+    dense = frozen.walk.evolve(ref_params, 513).amplitudes
+    assert not dense[:, 1::2].any()
+    assert np.max(np.abs(evolve(WalkParams(**fields), 513).amplitudes - dense[:, ::2])) <= 1e-13
     for x in (0, 5, -511, 512):
         want = frozen.walk.cesaro_average(ref_params, 513, x)
         assert cesaro_average(WalkParams(**fields), 513, x) == want, x
@@ -641,7 +649,7 @@ def test_every_cone_yield_is_bit_identical_to_the_reference(t, target):
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
 def test_evolve_matches_extended_precision_walk(params):
     # the oracle agrees with the independent sum over paths
-    brute = path_sum_field(params, 10).amplitudes[:, ::2]
+    brute = path_sum_field(params, 10).amplitudes
     assert np.max(np.abs(brute - extended_precision_walk(params, ORACLE_TIMES)[10])) <= 1e-15
     # walks past 512 steps round once per step, not twice; the
     # parent kernel, which normalizes every step, is off by 7.6e-14 to
@@ -800,11 +808,11 @@ def test_rescaled_distribution_pairs():
     t = 4
     dist = distribution(evolve(WalkParams(phi=0.5, a=1.0, b=0.0), t))
     pairs = rescaled_distribution(dist)
-    assert pairs.shape == (2 * t + 1, 2)
-    assert np.allclose(pairs[:, 0], np.arange(-t, t + 1) / t, atol=1e-16)
+    assert pairs.shape == (t + 1, 2)
+    assert np.allclose(pairs[:, 0], np.arange(-t, t + 1, 2) / t, atol=1e-16)
     # scaled masses: t * P_t(x); their sum over the support is t
     assert abs(pairs[:, 1].sum() - t) <= 1e-12
-    mid = pairs[t]  # x = 0 row
+    mid = pairs[t // 2]  # x = 0 row
     assert abs(mid[1] - t * 5 / 8) <= 1e-12
 
 
@@ -817,7 +825,10 @@ def test_cesaro_average_equals_direct_mean():
     params = WalkParams(phi=0.5, a=1.0, b=0.0)
     for x in (0, 1, -2):
         direct = np.mean(
-            [distribution(evolve(params, t)).prob[x + t] if abs(x) <= t else 0.0 for t in range(25)]
+            [
+                distribution(evolve(params, t)).prob[(x + t) // 2] if abs(x) <= t and (x + t) % 2 == 0 else 0.0
+                for t in range(25)
+            ]
         )
         assert abs(cesaro_average(params, 25, x) - direct) <= 1e-15
 
