@@ -21,19 +21,16 @@ movers in place, and the difference goes straight into the shifted slot of
 a second right-mover row; the two right-mover rows swap every step.  That
 is two array passes per step instead of four, and one rounding per
 component instead of two.  The passes are two ufunc calls with a positional
-out on views made once per segment of 64 steps.  In the first
-2 log2(min |alpha -+ beta| / tiny) - 16 steps from [alpha, beta] (2028
-from [1, 0]; fewer where a target's light cone binds sooner) the window
-can neither trim nor meet the cone, and a step is only those two calls,
-the defect on even steps and the yield; later steps add scalar
-bookkeeping through ``.item``.  Both keep every bit of a step that slices
-its views and tests its edges every time (see ``_populated_rows``).  A
-walk from [1, 0] costs 2.6 us per step at t = 2000 and 8.6 us at
-t = 10^4, and ``cesaro_average`` at T = 5000 takes 18 ms (minimum of 30
-rounds on a shared 2-CPU x86-64 VM, numpy 2.4).  Each unnormalized step
-multiplies the state by sqrt(2); every 64 steps the window is multiplied
-by 2^-32, which is exact, and ``evolve`` applies the remaining 2^(-pend/2)
-of the pend pending steps once at the end.  Walks of at most 512 steps
+out on views made once per segment of 64 steps, at the segment's start,
+where the window's edge tests and its light-cone clamp run too (see
+``_populated_rows``).  A step is only those two calls, the defect on even
+steps, one scalar store and the yield.  A walk from [1, 0] costs 2.8 us
+per step at t = 2000 and 7.8 us at t = 10^4, and ``cesaro_average`` at
+T = 5000 takes 17 ms (minimum of 40 rounds on a shared 2-CPU x86-64 VM,
+numpy 2.4).  Each unnormalized step multiplies the state by sqrt(2); every
+64 steps the window is multiplied by 2^-32, which is exact, and ``evolve``
+applies the remaining 2^(-pend/2) of the pend pending steps once at the
+end.  Walks of at most 512 steps
 normalize every step instead (four passes), so every output built on a
 short walk, such as the CLI's default runs and the recorded benchmark
 checksums, keeps the bits it had when every walk did.  Against a walk run
@@ -51,24 +48,33 @@ Underflow window: the amplitude at the front of the light cone shrinks like
 arithmetic is slow, and it rounds the smallest subnormal times 1/sqrt(2)
 back up, so an unwindowed step carries thousands of subnormals whose exact
 values are near 1e-600.  The kernel therefore steps only a window of sites:
-after each step an edge site leaves it once both its true amplitudes are
-below the smallest normal double, tiny = 2.2e-308 (the unnormalized values
-are compared with tiny * 2^(pend/2)), and holds exact zeros from then on.
-At most 2t + 2 sites leave in t steps, each moves the state by less than
-sqrt(2) * tiny, and the step is unitary, so in exact arithmetic the
-windowed state stays within about 2 * sqrt(2) * t * tiny (6e-304 at
-t = 10^4) of the unwindowed one.  The first sites to leave are the fronts
-of the light cone, which hold (alpha + beta) 2^(-t/2) (left movers at
-site -t) and (alpha - beta) 2^(-t/2) (right movers at site t), times the
-defect phase, for a start [alpha, beta].  Until 2^(-t/2) min |alpha -+ beta|
-drops below tiny, that is up to t = 2044 + 2 log2 min |alpha -+ beta|,
-nothing leaves and every operation is the unwindowed one.  The [1, 0]
-basis walk that ``evolve`` runs past 512 steps first trims at t = 2045
-(phi = 0, 0.3, 0.5).  A start with alpha close to +-beta trims earlier:
-from a = 0.7071067811865476, b = 0.7071067811865475, which is a valid
-spinor, the window first trims at t = 1939, where every dropped amplitude
-is at most 1.6e-308 in the clongdouble walk; with alpha = +-beta exactly a
-front is an exact zero and leaves at t = 1.
+at the start of each 64-step segment, and once more after the last step,
+an edge site leaves it once both its true amplitudes are below the
+smallest normal double, tiny = 2.2e-308, and holds exact zeros from then
+on (after the last step the unnormalized values are compared with
+tiny * 2^(pend/2); at a segment start pend is 0).  At most 2t + 2 sites
+leave in t steps, each moves the state by less than sqrt(2) * tiny, and
+the step is unitary, so in exact arithmetic the windowed state stays
+within about 2 * sqrt(2) * t * tiny (6e-304 at t = 10^4) of the
+unwindowed one.  The first sites to leave are the fronts of the light
+cone, which hold (alpha + beta) 2^(-t/2) (left movers at site -t) and
+(alpha - beta) 2^(-t/2) (right movers at site t), times the defect phase,
+for a start [alpha, beta].  Until 2^(-t/2) min |alpha -+ beta| drops below
+tiny, that is up to t = 2044 + 2 log2 min |alpha -+ beta|, nothing leaves
+and every operation is the unwindowed one; a front leaves at the first
+segment start after that.  The [1, 0] basis walk that ``evolve`` runs past
+512 steps first trims at t = 2048 (phi = 0, 0.3, 0.5).  A start with alpha
+close to +-beta trims earlier: from a = 0.7071067811865476,
+b = 0.7071067811865475, which is a valid spinor whose front drops below
+tiny at t = 1939, the window first trims at t = 1984, and up to t = 2000
+every amplitude it drops is at most 2.7e-315 in the clongdouble walk; with
+alpha = +-beta exactly a front is an exact zero from t = 1 on and leaves
+at t = 64 (after the last step of a shorter walk).  A site that drops
+below tiny within a segment is stepped until the segment ends.  Against a
+window tested after every step, that moves amplitudes only where they are
+at most 1.1e-285, by at most 9.3e-302, and no P_t(x) of ``evolve`` at
+t = 2100, 4100 or 10^4 by a bit (measured on the starts of the bit-oracle
+tests in tests/test_walk.py).
 
 Basis walks: the walk is linear in its initial spinor.  With
 sigma = [[0, 1], [-1, 0]], sigma H sigma^-1 = -H, and the defect sits at
@@ -122,8 +128,6 @@ _TINY = float(np.finfo(np.float64).tiny)
 _SHORT_WALK = 512  # walks of at most this many steps normalize every step
 _RESCALE_EVERY = 64  # unnormalized steps between exact rescalings; even
 _RESCALE = 2.0 ** (-_RESCALE_EVERY // 2)
-# window thresholds: pend unnormalized steps scale every amplitude by 2^(pend / 2)
-_THRESHOLDS = tuple(_TINY * 2.0 ** (pend / 2) for pend in range(_RESCALE_EVERY))
 
 MAX_STEPS = 10**6  # memory guard: a walk of t steps holds O(t) amplitudes
 NORM_TOL = 1e-12  # largest |a^2 + b^2 - 1| an initial spinor may have
@@ -197,12 +201,13 @@ class AmplitudeField:
     is -t, -t + 2, ..., t.  The other sites of [-t, t] hold no amplitude
     after t steps and are not stored.
 
-    A field from ``evolve`` past t = 2044 holds exact zeros at the
+    A field from ``evolve`` past t = 2047 holds exact zeros at the
     underflowed front of the light cone, where an unwindowed step would
     hold stuck subnormals: a walk past 512 steps is built from the [1, 0]
-    walk, whose front leaves the normal doubles at t = 2045, and a shorter
-    one never gets there.  The kernel run from a general start can trim
-    earlier, from t = 2044 + 2 log2 min |alpha -+ beta| on (see the module
+    walk, whose front leaves the normal doubles at t = 2045 and the window
+    at the segment start t = 2048, and a shorter one never gets there.  The
+    kernel run from a general start can trim earlier, at the first multiple
+    of 64 past t = 2044 + 2 log2 min |alpha -+ beta| (see the module
     docstring for the condition and the bound).
     """
 
@@ -261,7 +266,7 @@ def _populated_rows(
     views whose column j is site 2j - tau (columns past tau hold zeros),
     and the number of unnormalized steps since the last rescale.  The true
     amplitudes are the yielded ones times 2^(-pend / 2).  The next step
-    overwrites both views; it costs 2.6 us at t = 2000 and 8.6 us at
+    overwrites both views; it costs 2.8 us at t = 2000 and 7.8 us at
     t = 10^4 (module docstring).
 
     The live sites are the window of columns [lo, hi).  A step runs in
@@ -274,45 +279,33 @@ def _populated_rows(
     tau // 2, populated at even tau only), read with ``.item`` and
     multiplied as a Python complex, which rounds as the numpy scalar does.
 
-    After each step an edge column leaves the window while both its true
-    amplitudes are below ``_TINY``, and holds exact zeros from then on:
-    three scalar stores zero its left, right and spare entries (the spare
-    entry is a right mover again after the next swap).  With a ``target``
-    site the window is also clamped, by integer bounds on lo and hi, to the
-    backward light cone of (target, t); columns outside the cone cannot
-    reach the target by time t.  They are left as they are, not zeroed:
-    values outside the backward cone never flow back into it, since the
-    window never grows back over them.  Without a target, every column
-    outside the window holds exact zeros.  The checks run before anything
-    is allocated.
+    Bookkeeping.  The steps come in segments of 64, the rescale period.
+    At the start of each segment, and once more after the last step,
+    before the yield:
 
-    Segment views.  The steps come in segments of 64, the rescale period,
-    and the views that the two ufunc calls work on are made once per
-    segment, over the columns [lo, top) with top = min(hi + 63, cap, t):
-    every column a step of the segment can reach.  They also step columns
-    outside the window, which changes no live value.  A step moves a value
-    to its own column and one column up, so a column below lo reaches the
-    window only through ``spare[lo]``, which is zeroed after the step as
-    before.  The columns from hi up hold zeros, and their sums and
-    differences are zeros.  Without a target the columns below lo hold
-    zeros too; with one they may hold values from outside the backward
-    cone, which are stepped on and never read.
+    - an edge column leaves the window while both its true amplitudes are
+      below ``_TINY``, and holds exact zeros from then on: three scalar
+      stores zero its left, right and spare entries (the spare entry is a
+      right mover again after the next swap).  At a segment start pend is
+      0 after the exact rescale, so the test is against ``_TINY`` itself.
+    - with a ``target`` site the window is clamped, by integer bounds on
+      lo and hi, to the backward light cone of (target, t); columns
+      outside the cone cannot reach the target by time t.  They are left
+      as they are, not zeroed: values outside the backward cone never
+      flow back into it.
+    - the views that the two ufunc calls work on are made over the
+      columns [lo, top) with top = min(hi + 63, cap, t): every column a
+      step of the segment can reach.
 
-    Quiet steps.  The edge tests and the cone clamp are skipped in the
-    steps where they cannot fire.  Until a column leaves, the window is
-    the light cone.  Its bottom column holds fl(fl(alpha + beta) * omega)
-    in ``left`` and its top column the same of alpha - beta in ``right``,
-    each times an exact power of two: a step adds an exact zero to a
-    front, and the rescale is exact while it is normal.  The other entry
-    of each edge column is an exact zero.  Walks of at most 512 steps round
-    a front once more per step.  So after s steps a front's true value is
-    |alpha -+ beta| 2^(-s/2) up to a few roundings, and no edge test can
-    pass while s <= 2 log2(min |alpha -+ beta| / tiny) - 16, where the
-    fronts are still above 2^8 tiny.  The cone clamps no column before step
-    min(-shift, cap - 1).  The quiet steps are those before the smaller
-    bound, from step 2 on: lo stays 0, and column 0 of both right-mover
-    rows holds zero from then on, so ``spare[lo]`` needs no store either.
-    With alpha = +-beta exactly a front is zero and no step is quiet.
+    Between, lo stays and hi only grows, so the window may hold columns
+    below tiny or outside the cone until the next segment start (see the
+    module docstring for what that moves).  The views also step the
+    columns from hi up, which hold zeros whose sums and differences are
+    zeros.  A step moves a value to its own column and one column up, so
+    a column below lo reaches the window only through ``spare[lo]``,
+    which every step zeroes.  Without a target, every column outside the
+    window holds exact zeros.  The checks run before anything is
+    allocated.
     """
     _check_steps(t)
     if target is None:
@@ -321,20 +314,31 @@ def _populated_rows(
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
     # the two right-mover rows swap every step
     left, right, spare = np.zeros((3, t + 1), dtype=np.complex128)
-    alpha, beta = params.initial_spinor()
-    left[0], right[0] = alpha, beta
+    left[0], right[0] = params.initial_spinor()
     defect = params.defect_factor()
-    front = min(abs(alpha + beta), abs(alpha - beta))
-    quiet = min(-shift, cap - 1, int(2.0 * math.log2(front / _TINY)) - 16) if front else 0
     lo, hi, pend = 0, 1, 0
-    yield left, right, pend
     short = t <= _SHORT_WALK
     subtract, add = np.subtract, np.add
-    for tau in range(t):
-        if tau % _RESCALE_EVERY == 0:  # segment views (docstring)
+    for tau in range(t + 1):
+        if tau % _RESCALE_EVERY == 0 or tau == t:  # the window's bookkeeping (docstring)
+            tiny = _TINY * 2.0 ** (pend / 2)  # pend unnormalized steps scale by 2^(pend / 2)
+            floor = tau + shift
+            if lo < floor:
+                lo = floor if floor < hi else hi
+            while lo < hi and abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny:
+                left[lo] = right[lo] = spare[lo] = 0.0
+                lo += 1
+            if hi > cap:
+                hi = cap if cap > lo else lo
+            while lo < hi and abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny:
+                hi -= 1
+                left[hi] = right[hi] = spare[hi] = 0.0
             top = min(hi + _RESCALE_EVERY - 1, cap, t)
             now_left, now_right, new_right = left[lo:top], right[lo:top], spare[lo + 1 : top + 1]
             then_right, then_new = spare[lo:top], right[lo + 1 : top + 1]
+        yield left, right, pend
+        if tau == t:
+            return
         subtract(now_left, now_right, new_right)
         add(now_left, now_right, now_left)
         if short:
@@ -347,6 +351,7 @@ def _populated_rows(
                 spare[origin + 1] = spare.item(origin + 1) * defect
         right, spare = spare, right
         now_right, new_right, then_right, then_new = then_right, then_new, now_right, new_right
+        right[lo] = 0.0  # the spare row before the swap
         hi += 1
         if not short:
             pend += 1
@@ -354,23 +359,6 @@ def _populated_rows(
                 left[lo:hi] *= _RESCALE
                 right[lo:hi] *= _RESCALE
                 pend = 0
-        if 1 < tau < quiet:  # nothing below can fire (docstring)
-            yield left, right, pend
-            continue
-        right[lo] = 0.0  # the spare row before the swap
-        tiny = _THRESHOLDS[pend]
-        floor = tau + 1 + shift
-        if lo < floor:
-            lo = floor if floor < hi else hi
-        while lo < hi and abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny:
-            left[lo] = right[lo] = spare[lo] = 0.0
-            lo += 1
-        if hi > cap:
-            hi = cap if cap > lo else lo
-        while lo < hi and abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny:
-            hi -= 1
-            left[hi] = right[hi] = spare[hi] = 0.0
-        yield left, right, pend
 
 
 @functools.lru_cache(maxsize=1)

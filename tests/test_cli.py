@@ -160,12 +160,38 @@ def test_verify_skips_fixture_check_off_reference(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli.spectral, "weight_from_residues", lambda x, params: 0.123)
-    code, out, _ = run_cli(["verify", "--phi", "0.5", "--steps", "4"], capsys)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.spectral, "weight_from_residues", lambda x, params: 0.123)
+        code, out, _ = run_cli(["verify", "--phi", "0.5", "--steps", "4"], capsys)
     assert code == 1
     lines = out.splitlines()
     assert any(line.startswith("FAIL") and "spectral_oracle" in line for line in lines)
     assert lines[-1] == "1 CHECK(S) FAILED"
+    # a wrong integral on halfphase_10 (atom 0.8, integral 0.2) still adds
+    # up to 1 with its atom 1 - 0.3, but misses both reference masses
+    wrong = quadrature.QuadratureResult(value=0.3, est_error=0.0, evaluations=1)
+    monkeypatch.setattr(cli, "integrate_ac", lambda f, tol: wrong)
+    code, out, _ = run_cli(["verify", "--phi", "0.5", "--steps", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        f"FAIL    mass_decomposition: atom {1.0 - 0.3!r} != reference 0.8; "
+        "integral 0.3 != reference 0.2"
+    ]
+    assert lines[-1] == "1 CHECK(S) FAILED"
+
+
+def test_degenerate_denominator_exits_two(capsys, monkeypatch):
+    def degenerate(params):
+        raise limit.DegenerateDenominatorError(0.25, params.phi)
+
+    monkeypatch.setattr(limit, "weight_coefficients", degenerate)
+    code, out, err = run_cli(["density"], capsys)
+    assert code == 2
+    assert out == ""
+    # 0.5 is the default phase
+    assert err == "error: weight denominator vanished at x=0.25 (defect phase 0.5)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the analytic weak-limit measure: weight, base density, atom."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
+    DegenerateDenominatorError,
     InitialStateAngles,
     QuadratureResult,
     SUPPORT_RADIUS,
@@ -18,6 +20,7 @@ from wojcikwalk import (
     fixture,
     integrate_ac,
     konno_density,
+    limit,
     match_fixture,
     weight,
     weight_coefficients,
@@ -228,6 +231,37 @@ def test_weight_domain_validation():
             weight(x, coeffs)
         with pytest.raises(ValueError):
             weight(np.array([0.1, x, -0.2]), coeffs)
+
+
+def hand_made_coefficients(**values):
+    """``WeightCoefficients`` at phi = 0.3 with every coefficient 0.0 except ``values``.
+
+    No defect phase and spinor give these: they reach the refusals that
+    ``weight_coefficients`` guards against but never meets.
+    """
+    names = [field.name for field in dataclasses.fields(limit.WeightCoefficients)]
+    return limit.WeightCoefficients(**{**dict.fromkeys(names[1:], 0.0), "phi": 0.3, **values})
+
+
+def test_weight_refuses_a_denominator_at_or_below_zero():
+    coeffs = hand_made_coefficients(s0=-1.0, s2=1.0)  # den = x^4 - 1 < 0
+    with pytest.raises(DegenerateDenominatorError) as caught:
+        weight(0.25, coeffs)
+    assert (caught.value.x, caught.value.phi) == (0.25, 0.3)
+    assert str(caught.value) == "weight denominator vanished at x=0.25 (defect phase 0.3)"
+    # an array names its first degenerate point
+    with pytest.raises(DegenerateDenominatorError) as caught:
+        weight(np.array([-0.5, 0.1]), coeffs)
+    assert caught.value.x == -0.5
+
+
+def test_support_validation_refuses_a_negative_weight():
+    # w(x) = -x^2 on the x >= 0 branch and 0 on the other
+    coeffs = hand_made_coefficients(t0_pos=-1.0, s0=1.0)
+    with pytest.raises(ValueError, match=r"^weight is negative \(-.* for phi=0\.3; configuration"):
+        limit._validate_on_support(coeffs)
+    # the same coefficients with a nonnegative weight pass
+    limit._validate_on_support(hand_made_coefficients(t0_pos=1.0, s0=1.0))
 
 
 def test_weight_tiny_arguments_use_limit():

@@ -248,6 +248,14 @@ def test_evolve_matches_path_sum():
         assert np.max(np.abs(fast.amplitudes - brute.amplitudes)) <= 1e-13
 
 
+def test_zero_steps_give_the_initial_spinor_on_both_routes():
+    params = WalkParams(phi=0.3, a=0.6, b=0.8, phi1=0.9, phi2=-0.2)
+    want = params.initial_spinor().reshape(2, 1)
+    for field in (path_sum_field(params, 0), evolve(params, 0)):
+        assert field.time == 0
+        assert np.array_equal(field.amplitudes.view(np.uint64), want.view(np.uint64))
+
+
 def test_path_sum_refuses_large_t():
     with pytest.raises(ValueError):
         path_sum_field(RIGHT, 21)
@@ -396,16 +404,19 @@ def test_walks_up_to_512_steps_keep_the_frozen_kernel_bits(frozen):
 # ---------------------------------------------------------------------------
 
 # The step kernel as it was before its fixed per-step cost was cut, copied
-# verbatim apart from its names: five views and a slice write-back per step,
-# the defect multiplied on numpy scalars, and a 2-D store that zeroes every
-# column leaving the window, light cone included.  The frozen reference
-# normalizes every step, so its tests stop at 512 steps; this copy pins the
-# bits of the unnormalized long walks.
+# verbatim apart from its names and the ``every`` of its window tests: five
+# views and a slice write-back per step, the defect multiplied on numpy
+# scalars, and a 2-D store that zeroes every column leaving the window, light
+# cone included.  The frozen reference normalizes every step, so its tests
+# stop at 512 steps; this copy pins the bits of the unnormalized long walks.
+# With ``every=1`` it tests the window after each step, as the kernel did
+# before; ``segment_reference_rows`` tests it at the kernel's own cadence, at
+# the start of each 64-step segment and after the last step.
 _INV_SQRT2 = walk._INV_SQRT2
 _SHORT_WALK = walk._SHORT_WALK
 _RESCALE_EVERY = walk._RESCALE_EVERY
 _RESCALE = walk._RESCALE
-_THRESHOLDS = walk._THRESHOLDS
+_THRESHOLDS = tuple(walk._TINY * 2.0 ** (pend / 2) for pend in range(_RESCALE_EVERY))
 
 
 def reference_advance(
@@ -444,7 +455,7 @@ def reference_advance(
 
 
 def reference_rows(
-    params: WalkParams, t: int, target: int | None = None
+    params: WalkParams, t: int, target: int | None = None, every: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield the populated sites' unnormalized amplitudes at times 0, 1, ..., t.
 
@@ -453,11 +464,12 @@ def reference_rows(
     and the number of unnormalized steps since the last rescale.  The true
     amplitudes are the yielded ones times 2^(-pend / 2).  The next step
     overwrites both views.  Only the active window of columns is stepped,
-    and every column outside it holds exact zeros.  After each step an edge
-    column leaves the window while both its true amplitudes are below
-    ``_TINY``; with a ``target`` site, so does every column outside the
-    backward light cone of (target, t), which cannot reach the target by
-    time t.  The checks run before anything is allocated.
+    and every column outside it holds exact zeros.  After every ``every``-th
+    step and after the last one, an edge column leaves the window while both
+    its true amplitudes are below ``_TINY``; with a ``target`` site, so does
+    every column outside the backward light cone of (target, t), which
+    cannot reach the target by time t.  The checks run before anything is
+    allocated.
     """
     walk._check_steps(t)
     if target is None:
@@ -481,6 +493,9 @@ def reference_rows(
                 left[lo:hi] *= _RESCALE
                 right[lo:hi] *= _RESCALE
                 pend = 0
+        if (tau + 1) % every and tau + 1 < t:
+            yield left, right, pend
+            continue
         tiny = _THRESHOLDS[pend]
         while lo < hi and (
             lo < tau + 1 + shift or abs(left.item(lo)) < tiny and abs(right.item(lo)) < tiny
@@ -493,6 +508,9 @@ def reference_rows(
             hi -= 1
             rows[:, hi] = 0.0
         yield left, right, pend
+
+
+segment_reference_rows = functools.partial(reference_rows, every=_RESCALE_EVERY)
 
 
 def reference_cesaro(params, T, x):
@@ -521,9 +539,10 @@ SLANTED = WalkParams(phi=0.0, a=0.7071067811865476, b=0.7071067811865475)
 def test_window_trims_a_general_spinor_before_t_2044():
     # the front of the light cone is (alpha -+ beta) 2^(-t/2) times a phase,
     # so a start with alpha close to beta underflows long before the 2045 of
-    # [1, 0]: the window test runs from the first step on, and every column
+    # [1, 0].  The window is tested at the start of each 64-step segment, so
+    # it first trims at 1984 = 31 * 64 (2048 from [1, 0]), and every column
     # it drops is below the smallest normal double in the unwindowed walk
-    t = 1960
+    t = 2000
     dropped_at = []
     rows = zip(walk._populated_rows(SLANTED, t), extended_precision_rows(SLANTED, t))
     for tau, ((left, right, _), exact) in enumerate(rows):
@@ -531,22 +550,28 @@ def test_window_trims_a_general_spinor_before_t_2044():
         if dropped.any():
             dropped_at.append(tau)
             assert np.max(np.abs(exact[:, dropped])) < TINY, tau
-    assert dropped_at[0] == 1939
-    assert len(dropped_at) == t - 1939 + 1
+    assert dropped_at[0] == 1984
+    assert len(dropped_at) == t - 1984 + 1
+
+
+def evolve_on(kernel, params, t):
+    """``evolve(params, t)`` run on ``kernel`` from a cold basis cache."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(walk, "_populated_rows", kernel)
+        walk._basis_walk.cache_clear()
+        try:
+            return evolve(params, t)
+        finally:
+            walk._basis_walk.cache_clear()
 
 
 @pytest.mark.parametrize("t", [513, 2100, 4100])
-def test_long_evolve_is_bit_identical_to_the_reference_kernel(t, monkeypatch):
+def test_long_evolve_is_bit_identical_to_the_reference_kernel(t):
     rng = np.random.default_rng(83)
     for _ in range(3):
         params = WalkParams(**random_fields(rng))
-        walk._basis_walk.cache_clear()
-        got = evolve(params, t).amplitudes.view(np.uint64).copy()
-        with monkeypatch.context() as patched:
-            patched.setattr(walk, "_populated_rows", reference_rows)
-            walk._basis_walk.cache_clear()
-            want = evolve(params, t).amplitudes.view(np.uint64)
-        walk._basis_walk.cache_clear()
+        got = evolve_on(walk._populated_rows, params, t).amplitudes.view(np.uint64)
+        want = evolve_on(segment_reference_rows, params, t).amplitudes.view(np.uint64)
         assert np.array_equal(got, want), (params, t)
 
 
@@ -557,7 +582,7 @@ def test_kernel_rows_from_any_spinor_are_bit_identical_to_the_reference(t):
     rng = np.random.default_rng(89)
     for params in [SLANTED] + [WalkParams(**random_fields(rng)) for _ in range(2)]:
         got, got_pend = last_rows(walk._populated_rows(params, t))
-        want, want_pend = last_rows(reference_rows(params, t))
+        want, want_pend = last_rows(segment_reference_rows(params, t))
         assert got_pend == want_pend
         assert np.array_equal(got, want), (params, t)
 
@@ -582,33 +607,40 @@ class OppositeStart(WalkParams):
         return np.array([self.a, -self.b], dtype=np.complex128)
 
 
-def assert_every_yield_matches_the_reference(params, t, target=None):
-    """Each yield of the kernel has the bits of ``reference_rows`` at the same time.
+def cone_yields(params, t, target, reference):
+    """(got, want, pend) for each yield of the kernel and of ``reference`` at the same time.
 
-    Without a target every column is compared.  With one, only the columns
-    of the backward light cone of (target, t): ``reference_rows`` zeroes the
-    columns outside it, which cannot reach the target.
+    got and want are (2, n) complex copies of the two yields' backward
+    light cone of (target, t), and pend is the one the two must agree on.
+    Without a target every column is in the cone; with one, the columns
+    outside it cannot reach the target, and ``reference_rows`` zeroes them.
     """
     if target is None:
         shift, cap = -t, t + 1
     else:
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
-    kernel, reference = walk._populated_rows(params, t, target), reference_rows(params, t, target)
+    kernel = walk._populated_rows(params, t, target)
     for tau, ((left, right, pend), (want_left, want_right, want_pend)) in enumerate(
-        zip(kernel, reference)
+        zip(kernel, reference(params, t, target))
     ):
         cone = slice(max(tau + shift, 0), min(cap, tau + 1))
         assert pend == want_pend, (params, t, target, tau)
-        got = np.array((left[cone], right[cone])).view(np.uint64)
-        want = np.array((want_left[cone], want_right[cone])).view(np.uint64)
-        assert np.array_equal(got, want), (params, t, target, tau)
         if target is None:
             assert not left[tau + 1 :].any() and not right[tau + 1 :].any(), (params, t, tau)
+        want = np.array((want_left[cone], want_right[cone]))
+        yield np.array((left[cone], right[cone])), want, pend
     assert tau == t
 
 
+def assert_every_yield_matches_the_reference(params, t, target=None):
+    """Each yield of the kernel has the bits of ``segment_reference_rows`` at the same time."""
+    for tau, (got, want, _) in enumerate(cone_yields(params, t, target, segment_reference_rows)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, t, target, tau)
+
+
 # a step segment is 64 steps, walks past 512 steps are unnormalized, and the
-# [1, 0] walk's fronts leave the normal doubles at t = 2045
+# [1, 0] walk's fronts leave the normal doubles at t = 2045 and leave the
+# window at t = 2048
 @pytest.mark.parametrize("t", [63, 64, 65, 128, 512, 513, *range(2040, 2051)])
 def test_every_yield_is_bit_identical_to_the_reference_kernel(t):
     rng = np.random.default_rng(t)
@@ -619,7 +651,8 @@ def test_every_yield_is_bit_identical_to_the_reference_kernel(t):
 @pytest.mark.parametrize("t", [64, 513, 2100])
 def test_every_yield_from_a_front_at_or_near_zero_is_bit_identical_to_the_reference(t):
     # alpha = +-beta exactly: a front is zero from the first step on, and
-    # the window trims at once; SLANTED's front leaves the doubles at 1939
+    # the window trims at the first segment start; SLANTED's front leaves
+    # the doubles at 1939 and the window at 1984
     half = 0.7071067811865476
     for params in (
         WalkParams(phi=0.5, a=half, b=half),
@@ -634,10 +667,46 @@ def test_every_yield_from_a_front_at_or_near_zero_is_bit_identical_to_the_refere
 )
 def test_every_cone_yield_is_bit_identical_to_the_reference(t, target):
     # with |target| close to t the backward light cone clamps the window
-    # within a few steps, long before the fronts reach the smallest double
+    # from the first segments on, long before the fronts reach the smallest
+    # double
     rng = np.random.default_rng(101)
     for params in (WalkParams(**random_fields(rng)), SLANTED):
         assert_every_yield_matches_the_reference(params, t, target)
+
+
+@pytest.mark.parametrize(
+    "t, target", [(2048, None), (2100, None), (4100, None), (2100, 2090), (2100, -2091), (2100, 0)]
+)
+def test_every_yield_moves_only_below_tiny_against_the_per_step_window(t, target):
+    # the kernel keeps a column that falls below tiny mid-segment until the
+    # next segment start, where the window tested after every step dropped
+    # it at once.  Measured on these starts: the bits differ only where a
+    # true amplitude is at most 1.1e-285, and by at most 9.3e-302 there.
+    half = 0.7071067811865476
+    rng = np.random.default_rng(t)
+    for params in (
+        WalkParams(phi=0.37, a=1.0, b=0.0),
+        WalkParams(**random_fields(rng)),
+        WalkParams(phi=0.5, a=half, b=half),
+        OppositeStart(phi=0.25, a=half, b=half),
+        SLANTED,
+    ):
+        for got, want, pend in cone_yields(params, t, target, reference_rows):
+            scale = 2.0 ** (pend / 2)  # the yields are the true amplitudes times this
+            bits = got.view(np.uint64) != want.view(np.uint64)
+            moved = bits.reshape(*got.shape, 2).any(axis=-1)
+            assert np.all(np.maximum(abs(got), abs(want))[moved] <= 1e-280 * scale), params
+            assert np.all(abs(got - want)[moved] <= 1e-300 * scale), params
+
+
+@pytest.mark.parametrize("t", [2100, 4100, 10**4])
+def test_long_evolve_probabilities_keep_the_per_step_window_bits(t):
+    rng = np.random.default_rng(t)
+    for _ in range(2):
+        params = WalkParams(**random_fields(rng))
+        got = distribution(evolve_on(walk._populated_rows, params, t)).prob.view(np.uint64)
+        want = distribution(evolve_on(reference_rows, params, t)).prob.view(np.uint64)
+        assert np.array_equal(got, want), (params, t)
 
 
 # ---------------------------------------------------------------------------
