@@ -56,7 +56,7 @@ _MATCH_TOL = 1e-9
 
 
 class DegenerateDenominatorError(ArithmeticError):
-    """The weight denominator vanished away from the removable x = 0 point.
+    """The weight denominator vanished away from the removable x = 0 point, or in its limit.
 
     Not expected for any defect phase; raised defensively so a silent 0/0
     can never leak into densities.  The offending abscissa is in ``x``.
@@ -223,7 +223,9 @@ def weight(x, coeffs: WeightCoefficients):
     The numerator branch switches at x = 0 (the x >= 0 branch owns the
     boundary point).  When the lower denominator coefficients vanish the
     x = 0 value is the removable limit: t0/s1 if only s0 = 0, t2/s2 if
-    s0 = s1 = 0.  Any point outside the support raises ValueError.
+    s0 = s1 = 0.  Any point outside the support raises ValueError; a
+    denominator at or below zero raises DegenerateDenominatorError, with
+    x = 0.0 when it is the limit's s2.
     """
     xs = np.asarray(x, dtype=float)
     outside = np.abs(xs) >= SUPPORT_RADIUS
@@ -238,7 +240,9 @@ def weight(x, coeffs: WeightCoefficients):
         out[tiny] = 0.0
     elif coeffs.s1 > _COEFF_ZERO:
         out[tiny] = coeffs.t0_pos / coeffs.s1
-    else:
+    elif tiny.any():  # only then is t2/s2 needed, and s2 may be 0
+        if not coeffs.s2 > 0.0:  # den ~ s2 x^4 <= 0 next to the origin
+            raise DegenerateDenominatorError(0.0, coeffs.phi)
         out[tiny] = coeffs.t2_pos / coeffs.s2
     xr = xs[~tiny]
     pos = xr > 0.0

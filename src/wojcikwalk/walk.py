@@ -23,15 +23,19 @@ is two array passes per step instead of four, and one rounding per
 component instead of two.  The passes are two ufunc calls with a positional
 out on views made once per segment of 64 steps, at the segment's start,
 where the window's edge tests and its light-cone clamp run too (see
-``_populated_rows``).  A step is only those two calls, the defect on even
-steps, one scalar store and the yield.  A walk from [1, 0] costs 2.8 us
-per step at t = 2000 and 7.8 us at t = 10^4, and ``cesaro_average`` at
-T = 5000 takes 17 ms (minimum of 40 rounds on a shared 2-CPU x86-64 VM,
-numpy 2.4).  Each unnormalized step multiplies the state by sqrt(2); every
-64 steps the window is multiplied by 2^-32, which is exact, and ``evolve``
-applies the remaining 2^(-pend/2) of the pend pending steps once at the
-end.  Walks of at most 512 steps
-normalize every step instead (four passes), so every output built on a
+``_populated_rows``).  The three rows share one 64-byte-aligned buffer,
+laid out so that both calls store to views that start on a cache line at
+every step; a store off a cache line ran about twice as slow.  The views
+start up to four zero columns below the window, and the stepped zero
+column just below it keeps the spare row's first window column zero, so a
+step is only those two calls, the defect on even steps and the yield.  A
+walk from [1, 0] costs 2.4 us per step at t = 2000 and 6.1 us at
+t = 10^4, and ``cesaro_average`` at T = 5000 takes 16 ms (minimum of
+30 rounds on a shared 2-CPU x86-64 VM with AVX-512, numpy 2.4).  Each
+unnormalized step multiplies the state by sqrt(2); every 64 steps the
+window is multiplied by 2^-32, which is exact, and ``evolve`` applies the
+remaining 2^(-pend/2) of the pend pending steps once at the end.  Walks of
+at most 512 steps normalize every step instead (four passes), so every output built on a
 short walk, such as the CLI's default runs and the recorded benchmark
 checksums, keeps the bits it had when every walk did.  Against a walk run
 in np.clongdouble (64-bit mantissa) from the same double start, over 8
@@ -128,6 +132,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 _SHORT_WALK = 512  # walks of at most this many steps normalize every step
 _RESCALE_EVERY = 64  # unnormalized steps between exact rescalings; even
 _RESCALE = 2.0 ** (-_RESCALE_EVERY // 2)
+_PAD = 4  # zero columns ahead of each kernel row: one 64-byte line of complex128
 
 MAX_STEPS = 10**6  # memory guard: a walk of t steps holds O(t) amplitudes
 NORM_TOL = 1e-12  # largest |a^2 + b^2 - 1| an initial spinor may have
@@ -266,18 +271,32 @@ def _populated_rows(
     views whose column j is site 2j - tau (columns past tau hold zeros),
     and the number of unnormalized steps since the last rescale.  The true
     amplitudes are the yielded ones times 2^(-pend / 2).  The next step
-    overwrites both views; it costs 2.8 us at t = 2000 and 7.8 us at
+    overwrites both views; it costs 2.4 us at t = 2000 and 6.1 us at
     t = 10^4 (module docstring).
 
     The live sites are the window of columns [lo, hi).  A step runs in
     place: L - R goes straight into ``spare``, one column up, L + R
     replaces ``left``, and then ``spare`` and ``right`` swap.  ``left[hi]``
-    holds zero, as it becomes the new top column, and ``spare[lo]`` is
-    zeroed.  Walks of at most 512 steps multiply both by 1/sqrt(2) (two
-    more passes); a longer walk's step is sqrt(2) times the unitary one.
-    The defect then multiplies the two amplitudes that left site 0 (column
-    tau // 2, populated at even tau only), read with ``.item`` and
-    multiplied as a Python complex, which rounds as the numpy scalar does.
+    holds zero, as it becomes the new top column, and ``spare[lo]`` gets
+    the zero of the stepped column lo - 1 (below).  Walks of at most 512
+    steps multiply both by 1/sqrt(2) (two more passes); a longer walk's
+    step is sqrt(2) times the unitary one.  The defect then multiplies the
+    two amplitudes that left site 0 (column tau // 2, populated at even
+    tau only), read with ``.item`` and multiplied as a Python complex,
+    which rounds as the numpy scalar does.
+
+    Buffer layout.  The three rows are slices of one zeroed buffer whose
+    start is rounded up to a multiple of 64 bytes (four complex128 columns),
+    whatever address the allocator returned.  Each row begins with 4 pad
+    columns ahead of its column 0, and the yields are views past the pad.
+    The left row starts at a buffer column that is 0 mod 4 and both
+    right-mover rows at columns that are 3 mod 4, so in padded coordinates
+    ``left[a]`` and ``spare[a + 1]`` start a cache line for every
+    a = 0 mod 4, whichever right-mover row is the spare.  Every view below
+    starts at such an a, so each step stores its sum and difference to
+    aligned outputs: a complex128 subtract of 10^4 columns into an output
+    16 bytes past a cache line took 13.1-13.7 us, against 6.0 us into an
+    aligned one (AVX-512 x86-64, numpy 2.4).
 
     Bookkeeping.  The steps come in segments of 64, the rescale period.
     At the start of each segment, and once more after the last step,
@@ -290,30 +309,41 @@ def _populated_rows(
       0 after the exact rescale, so the test is against ``_TINY`` itself.
     - with a ``target`` site the window is clamped, by integer bounds on
       lo and hi, to the backward light cone of (target, t); columns
-      outside the cone cannot reach the target by time t.  They are left
-      as they are, not zeroed: values outside the backward cone never
-      flow back into it.
-    - the views that the two ufunc calls work on are made over the
-      columns [lo, top) with top = min(hi + 63, cap, t): every column a
-      step of the segment can reach.
+      outside the cone cannot reach the target by time t.  Apart from the
+      zero columns of the next item they are left as they are: values
+      outside the backward cone never flow back into it.
+    - the views that the two ufunc calls work on are made over the padded
+      columns [a, top) with top = min(hi + 63, cap, t) plus the pad: every
+      column a step of the segment can reach.  The start a is the largest
+      multiple of 4 at or below column lo - 1, and columns [a, lo) of all
+      three rows are zeroed.  A segment starts at an even step, after an
+      even number of swaps, so ``right`` and ``spare`` are rows 1 and 2.
 
     Between, lo stays and hi only grows, so the window may hold columns
     below tiny or outside the cone until the next segment start (see the
-    module docstring for what that moves).  The views also step the
-    columns from hi up, which hold zeros whose sums and differences are
-    zeros.  A step moves a value to its own column and one column up, so
-    a column below lo reaches the window only through ``spare[lo]``,
-    which every step zeroes.  Without a target, every column outside the
-    window holds exact zeros.  The checks run before anything is
-    allocated.
+    module docstring for what that moves).  The views also step the 1 to
+    4 zero columns below lo and the columns from hi up, which hold zeros
+    whose sums and differences are +0.0.  A step moves a value to its own
+    column and one column up, so a column below lo reaches the window only
+    through ``spare[lo]``, which the stepped zero column lo - 1 sets to
+    +0.0 at every step, the value a scalar store would give.  Without a
+    target, every column outside the window holds exact zeros.  The checks
+    run before anything is allocated.
     """
     _check_steps(t)
     if target is None:
         shift, cap = -t, t + 1
     else:  # column j at time s is in the cone iff s + shift <= j < cap
         shift, cap = -((t - target) // 2), (t + target) // 2 + 1
+    # three padded rows in one 64-byte-aligned buffer (docstring); a complex128 is 16 bytes
+    width = (t + _PAD + 4) // 4 * 4  # a multiple of 4, at least t + 1 + _PAD
+    raw = np.zeros(16 * (3 * width + 3) + 63, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    buf = raw[start : start + 16 * (3 * width + 3)].view(np.complex128)
+    rows = [buf[i : i + t + 1 + _PAD] for i in (0, width + 3, 2 * width + 3)]
+    row_left, row_right, row_spare = rows
     # the two right-mover rows swap every step
-    left, right, spare = np.zeros((3, t + 1), dtype=np.complex128)
+    left, right, spare = row_left[_PAD:], row_right[_PAD:], row_spare[_PAD:]
     left[0], right[0] = params.initial_spinor()
     defect = params.defect_factor()
     lo, hi, pend = 0, 1, 0
@@ -333,9 +363,15 @@ def _populated_rows(
             while lo < hi and abs(left.item(hi - 1)) < tiny and abs(right.item(hi - 1)) < tiny:
                 hi -= 1
                 left[hi] = right[hi] = spare[hi] = 0.0
-            top = min(hi + _RESCALE_EVERY - 1, cap, t)
-            now_left, now_right, new_right = left[lo:top], right[lo:top], spare[lo + 1 : top + 1]
-            then_right, then_new = spare[lo:top], right[lo + 1 : top + 1]
+            if tau < t:  # tau is even, so right and spare are rows 1 and 2 again
+                a = (lo + _PAD - 1) // 4 * 4  # padded, at or below column lo - 1
+                top = min(hi + _RESCALE_EVERY - 1, cap, t) + _PAD
+                for row in rows:
+                    row[a : lo + _PAD] = 0.0
+                now_left, now_right = row_left[a:top], row_right[a:top]
+                new_right, then_right, then_new = (
+                    row_spare[a + 1 : top + 1], row_spare[a:top], row_right[a + 1 : top + 1]
+                )
         yield left, right, pend
         if tau == t:
             return
@@ -351,7 +387,6 @@ def _populated_rows(
                 spare[origin + 1] = spare.item(origin + 1) * defect
         right, spare = spare, right
         now_right, new_right, then_right, then_new = then_right, then_new, now_right, new_right
-        right[lo] = 0.0  # the spare row before the swap
         hi += 1
         if not short:
             pend += 1

@@ -253,6 +253,15 @@ def test_weight_refuses_a_denominator_at_or_below_zero():
     with pytest.raises(DegenerateDenominatorError) as caught:
         weight(np.array([-0.5, 0.1]), coeffs)
     assert caught.value.x == -0.5
+    # s1 = s2 = 0 too: no point below the 1e-80 cutoff needs the x = 0
+    # limit t2/s2, so the denominator itself is refused
+    with pytest.raises(DegenerateDenominatorError) as caught:
+        weight(0.1, hand_made_coefficients(s0=-1.0))
+    assert (caught.value.x, caught.value.phi) == (0.1, 0.3)
+    # at x = 0 the limit's denominator s2 is zero
+    with pytest.raises(DegenerateDenominatorError) as caught:
+        weight(0.0, hand_made_coefficients())
+    assert (caught.value.x, caught.value.phi) == (0.0, 0.3)
 
 
 def test_support_validation_refuses_a_negative_weight():

@@ -596,6 +596,33 @@ def test_long_cesaro_average_is_bit_identical_to_the_reference_kernel():
         assert cesaro_average(SLANTED, 2100, x) == reference_cesaro(SLANTED, 2100, x), x
 
 
+def test_every_kernel_pass_stores_to_a_64_byte_aligned_output(monkeypatch):
+    # a complex128 store that starts off a cache line runs about twice as
+    # slow, so every add and subtract of a step writes to an aligned view:
+    # through the window's trims (t = 4100), from cone floors of different
+    # residues mod 4 (the two Cesaro sites) and on the normalizing path
+    offsets = []
+
+    def spy(ufunc):
+        def call(*args):
+            offsets.append(args[2].ctypes.data % 64)
+            return ufunc(*args)
+
+        return call
+
+    monkeypatch.setattr(np, "subtract", spy(np.subtract))
+    monkeypatch.setattr(np, "add", spy(np.add))
+    rng = np.random.default_rng(107)
+    walk._basis_walk.cache_clear()
+    evolve(WalkParams(**random_fields(rng)), 4100)
+    walk._basis_walk.cache_clear()
+    cesaro_average(WalkParams(**random_fields(rng)), 3001, 0)
+    cesaro_average(WalkParams(**random_fields(rng)), 2100, 40)
+    evolve(WalkParams(**random_fields(rng)), 300)
+    assert len(offsets) == 2 * (4100 + 3000 + 2099 + 300)
+    assert set(offsets) == {0}
+
+
 class OppositeStart(WalkParams):
     """The start [a, -b]: with a = b its left-moving front alpha + beta is an exact zero.
 
