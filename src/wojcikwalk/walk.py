@@ -35,9 +35,9 @@ t = 10^4, and ``cesaro_average`` at T = 5000 takes 16 ms (minimum of
 unnormalized step multiplies the state by sqrt(2); every 64 steps the
 window is multiplied by 2^-32, which is exact, and ``evolve`` applies the
 remaining 2^(-pend/2) of the pend pending steps once at the end.  Walks of
-at most 512 steps normalize every step instead (four passes), so every output built on a
-short walk, such as the CLI's default runs and the recorded benchmark
-checksums, keeps the bits it had when every walk did.  Against a walk run
+at most 512 steps normalize every step instead (four passes), so every
+output built on a short walk, such as the CLI's default runs and the
+recorded benchmark checksums, keeps the bits it had when every walk did.  Against a walk run
 in np.clongdouble (64-bit mantissa) from the same double start, over 8
 random starts, the largest amplitude error of the two-pass walk run from
 the start itself at t = 2000, 4000 and 10^4 is at most 1.6e-15, 3.0e-15
@@ -340,8 +340,9 @@ def _populated_rows(
     raw = np.zeros(16 * (3 * width + 3) + 63, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     buf = raw[start : start + 16 * (3 * width + 3)].view(np.complex128)
-    rows = [buf[i : i + t + 1 + _PAD] for i in (0, width + 3, 2 * width + 3)]
-    row_left, row_right, row_spare = rows
+    row_left, row_right, row_spare = (
+        buf[i : i + t + 1 + _PAD] for i in (0, width + 3, 2 * width + 3)
+    )
     # the two right-mover rows swap every step
     left, right, spare = row_left[_PAD:], row_right[_PAD:], row_spare[_PAD:]
     left[0], right[0] = params.initial_spinor()
@@ -366,8 +367,7 @@ def _populated_rows(
             if tau < t:  # tau is even, so right and spare are rows 1 and 2 again
                 a = (lo + _PAD - 1) // 4 * 4  # padded, at or below column lo - 1
                 top = min(hi + _RESCALE_EVERY - 1, cap, t) + _PAD
-                for row in rows:
-                    row[a : lo + _PAD] = 0.0
+                row_left[a : lo + _PAD] = row_right[a : lo + _PAD] = row_spare[a : lo + _PAD] = 0.0
                 now_left, now_right = row_left[a:top], row_right[a:top]
                 new_right, then_right, then_new = (
                     row_spare[a + 1 : top + 1], row_spare[a:top], row_right[a + 1 : top + 1]
