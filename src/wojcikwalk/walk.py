@@ -37,15 +37,15 @@ window is multiplied by 2^-32, which is exact, and ``evolve`` applies the
 remaining 2^(-pend/2) of the pend pending steps once at the end.  Walks of
 at most 512 steps normalize every step instead (four passes), so every
 output built on a short walk, such as the CLI's default runs and the
-recorded benchmark checksums, keeps the bits it had when every walk did.  Against a walk run
-in np.clongdouble (64-bit mantissa) from the same double start, over 8
-random starts, the largest amplitude error of the two-pass walk run from
-the start itself at t = 2000, 4000 and 10^4 is at most 1.6e-15, 3.0e-15
-and 4.6e-15; normalizing every step, it is 9e-14..1.2e-13,
-1.8e-13..2.4e-13 and 4.7e-13..6.2e-13.  Outputs of walks past 512 steps
-therefore differ from per-step normalization in their last digits: at
-t = 10^4 by at most 6.2e-13 in an amplitude and 1.1e-12 in a P_t(x), which
-is the error of per-step normalization itself.
+recorded benchmark checksums, keeps the bits it had when every walk did.
+Against a walk run in np.clongdouble (64-bit mantissa) from the same double
+start, over 8 random starts, the largest amplitude error of the two-pass
+walk run from the start itself at t = 2000, 4000 and 10^4 is at most
+1.6e-15, 3.0e-15 and 4.6e-15; normalizing every step, it is
+9e-14..1.2e-13, 1.8e-13..2.4e-13 and 4.7e-13..6.2e-13.  Outputs of walks
+past 512 steps therefore differ from per-step normalization in their last
+digits: at t = 10^4 by at most 6.2e-13 in an amplitude and 1.1e-12 in a
+P_t(x), which is the error of per-step normalization itself.
 
 Underflow window: the amplitude at the front of the light cone shrinks like
 2^(-t/2) and leaves the normal double range near t = 2044.  Subnormal
@@ -132,7 +132,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 _SHORT_WALK = 512  # walks of at most this many steps normalize every step
 _RESCALE_EVERY = 64  # unnormalized steps between exact rescalings; even
 _RESCALE = 2.0 ** (-_RESCALE_EVERY // 2)
-_PAD = 4  # zero columns ahead of each kernel row: one 64-byte line of complex128
+_PAD = 4  # zero columns ahead of each kernel row: one 64-byte line
 
 MAX_STEPS = 10**6  # memory guard: a walk of t steps holds O(t) amplitudes
 NORM_TOL = 1e-12  # largest |a^2 + b^2 - 1| an initial spinor may have
@@ -322,13 +322,13 @@ def _populated_rows(
     Between, lo stays and hi only grows, so the window may hold columns
     below tiny or outside the cone until the next segment start (see the
     module docstring for what that moves).  The views also step the 1 to
-    4 zero columns below lo and the columns from hi up, which hold zeros
-    whose sums and differences are +0.0.  A step moves a value to its own
-    column and one column up, so a column below lo reaches the window only
-    through ``spare[lo]``, which the stepped zero column lo - 1 sets to
-    +0.0 at every step, the value a scalar store would give.  Without a
-    target, every column outside the window holds exact zeros.  The checks
-    run before anything is allocated.
+    4 columns below lo, which hold +0.0 and give +0.0, and the columns from
+    hi up, which hold zeros whose sums and differences are zeros.  A step
+    moves a value to its own column and one column up, so a column below
+    lo reaches the window only through ``spare[lo]``, which the stepped
+    zero column lo - 1 sets to +0.0 at every step, the value a scalar
+    store would give.  Without a target, every column outside the window
+    holds exact zeros.  The checks run before anything is allocated.
     """
     _check_steps(t)
     if target is None:
