@@ -118,7 +118,7 @@ def test_criterion_4_spectral_oracle_equivalence():
             binned.bin_edges[:-1], binned.bin_edges[1:], binned.masses
         ):
             want = integrate_ac(density, 1e-9, lo=float(lo), hi=float(hi)).value
-            assert abs(mass - want) <= 1e-4, f"{case_id}: bin [{lo:.4f}, {hi:.4f}]"
+            assert abs(mass - want) <= 1e-10, f"{case_id}: bin [{lo:.4f}, {hi:.4f}]"
 
 
 def test_criterion_5_simulation_convergence(halfphase_walk_10k):

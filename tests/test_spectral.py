@@ -1,15 +1,12 @@
 """Tests for the residue route: pointwise weight and binned density."""
 
-import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
-    CoarseKGridWarning,
     SUPPORT_RADIUS,
     WalkParams,
     ac_density,
@@ -131,16 +128,16 @@ def test_binned_density_matches_per_bin_integrals():
         want = integrate_ac(
             lambda x: ac_density(x, coeffs), 1e-9, lo=float(lo), hi=float(hi)
         ).value
-        assert abs(mass - want) <= 1e-4
+        assert abs(mass - want) <= 1e-10
 
 
 def test_binned_density_total_is_continuous_mass():
     case = fixture("halfphase_10")
     binned = density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
-    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-6
+    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-12
     plain = fixture("hadamard_10")
     full = density_via_k_integration(plain.params.phi, plain.params, n_k=10**5, bins=40)
-    assert abs(full.masses.sum() - 1.0) <= 1e-5
+    assert abs(full.masses.sum() - 1.0) <= 1e-12
 
 
 def test_binned_density_mirror_symmetry_for_symmetric_state():
@@ -149,162 +146,68 @@ def test_binned_density_mirror_symmetry_for_symmetric_state():
     assert np.max(np.abs(binned.masses - binned.masses[::-1])) <= 1e-12
 
 
-def four_quadrant_masses(phi, init, n_k, bins):
-    """Bin masses from every frequency of the grid, each quadrant evaluated on its own.
-
-    The pole factor carries the signs of cos k and sin k through
-    z = cos(theta) + i sin(theta) at the pole, as the residue construction
-    states it, with no folding between quadrants.
-    """
-    n_k = 4 * math.ceil(n_k / 4)
-    dk = 2.0 * math.pi / n_k
-    k = (np.arange(n_k) + 0.5) * dk
-    c, s = np.cos(k), np.sin(k)
-    u = np.abs(c) / np.sqrt(1.0 + c * c)
-    omega = cmath.exp(2j * math.pi * phi)
-    alpha, beta = init.a * cmath.exp(1j * init.phi12), init.b
-    masses = np.zeros(bins)
-    for branch in (1, -1):
-        x = branch * u
-        cos_t = -branch * np.sign(c) / np.sqrt(2.0 * (1.0 - x * x))
-        sin_t = np.sign(s) * np.sqrt((1.0 - 2.0 * x * x) / (2.0 * (1.0 - x * x)))
-        root = u / np.sqrt(1.0 - u * u)
-        f = np.sign(cos_t) * (cos_t + 1j * sin_t) * (math.sqrt(2.0) * np.abs(cos_t) - root)
-        denom = 1.0 - math.sqrt(2.0) * omega * f + omega * omega * f * f
-        lead = alpha if branch == 1 else beta
-        spinor = alpha - branch * beta - math.sqrt(2.0) * omega * lead * f
-        norm = x * x / np.abs(denom) ** 2 * 0.5 * np.abs(spinor) ** 2 * 2.0 / (1.0 + branch * x)
-        where = np.clip(((x + S) / (2.0 * S / bins)).astype(int), 0, bins - 1)
-        masses += np.bincount(where, weights=norm * dk / (2.0 * math.pi), minlength=bins)
-    return masses
-
-
-def test_quadrant_fold_matches_four_quadrant_loop():
-    # the fold evaluates a quarter of the grid; the masses may change in
-    # their last bits only (measured: 1.1e-14 on hadamard_sym, whose edge
-    # bins sum ~10^4 near-equal deposits)
-    configs = [(fixture(case).params.phi, fixture(case).params) for case in EXAMPLE_CASE_IDS]
-    rng = np.random.default_rng(41)
-    for _ in range(8):
-        theta = rng.uniform(0.0, math.pi / 2.0)
-        phi12 = float(rng.uniform(-3, 3))
-        phi = float(rng.uniform(0.0, 1.0))
-        configs.append((phi, WalkParams(phi, math.cos(theta), math.sin(theta), phi12)))
-    for phi, init in configs:
-        for n_k, bins in ((10**5, 40), (10**5 + 2, 41)):
-            got = density_via_k_integration(phi, init, n_k, bins).masses
-            want = four_quadrant_masses(phi, init, n_k, bins)
-            assert np.max(np.abs(got - want)) <= 1e-13, (phi, init, n_k)
-
-
-def reference_pole(c):
-    u = np.abs(c) / np.sqrt(1.0 + c * c)
-    one_minus = 1.0 - u * u
-    cos_t = 1.0 / np.sqrt(2.0 * one_minus)
-    sin_t = np.sqrt((1.0 - 2.0 * u * u) / (2.0 * one_minus))
-    root = u / np.sqrt(one_minus)
-    m = math.sqrt(2.0) * cos_t - root
-    return u, cos_t * m + 1j * (sin_t * m)
-
-
-def reference_residue_norm(u, f, branch, phi, init):
-    omega = cmath.exp(2j * math.pi * phi)
-    alpha = init.a * cmath.exp(1j * init.phi12)
-    beta = init.b
-
-    denom = 1.0 - math.sqrt(2.0) * omega * f + (omega * omega) * f * f
-    item1 = u * u
-    item2 = 1.0 / np.abs(denom) ** 2
-    if branch == 1:
-        item3 = 0.5 * np.abs(alpha - beta - math.sqrt(2.0) * omega * alpha * f) ** 2
-    else:
-        item3 = 0.5 * np.abs(alpha + beta - math.sqrt(2.0) * omega * beta * f) ** 2
-    item4 = 2.0 / (1.0 + u)
-    return item1 * item2 * item3 * item4
-
-
-def fsum_k_masses(phi, init, n_k, bins):
-    """Per-bin ``math.fsum`` of the quadrant-folded deposits: each mass rounded once.
-
-    Also the per-bin sample counts of the whole grid, four per quadrant-I
-    frequency and branch.
-    """
-    quarter = math.ceil(n_k / 4)
-    dk = 2.0 * math.pi / (4 * quarter)
-    bin_width = 2.0 * S / bins
-    k = (np.arange(quarter) + 0.5) * dk
-    u, f = reference_pole(np.cos(k))
-    where, deposits = [], []
-    for branch in (1, -1):
-        norms = reference_residue_norm(u, f, branch, phi, init) + reference_residue_norm(
-            u, f.conj(), branch, phi, init
-        )
-        where.append(np.clip(((branch * u + S) / bin_width).astype(int), 0, bins - 1))
-        deposits.append(norms * (dk / math.pi))
-    where, deposits = np.concatenate(where), np.concatenate(deposits)
-    order = np.argsort(where, kind="stable")
-    cuts = np.searchsorted(where[order], np.arange(bins + 1))
-    deposits = deposits[order].tolist()
-    masses = np.array([math.fsum(deposits[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
-    return masses, 4 * np.diff(cuts)
+def bin_integrals(params, edges, which=None):
+    """``integrate_ac`` of the closed-form density over the bins numbered in ``which`` (all by default)."""
+    coeffs = weight_coefficients(params)
+    which = range(len(edges) - 1) if which is None else which
+    return np.array(
+        [
+            integrate_ac(lambda x: ac_density(x, coeffs), 1e-10, lo=float(edges[i]), hi=float(edges[i + 1])).value
+            for i in which
+        ]
+    )
 
 
 @pytest.mark.parametrize(
     "n_k, bins",
-    # 300 bins: the undersampled warning; 10^6 + 4 and 1 008 000: the edge
-    # bins of hadamard_sym sum ~10^5 near-equal deposits each
+    # odd bin counts have no edge at 0 (without u = 0 and the graded
+    # breakpoints the middle bin was up to 3.8e-5 off); 400 bins at
+    # n_k = 10^4 once left some bins under 32 samples
     [
         (10**4, 20),
+        (10**4, 40),
+        (10**4, 71),
         (10**4, 300),
+        (10**4, 400),
         (10**5, 40),
         (10**5 + 2, 41),
-        (10**6 + 4, 71),
         (10**6 + 4, 40),
+        (10**6 + 4, 71),
         (1_008_000, 21),
     ],
 )
-def test_k_masses_match_the_exactly_summed_deposits(n_k, bins):
-    # measured at most 3.9e-14 (hadamard_sym, n_k = 10^6 + 4, 40 bins);
-    # summing each branch per chunk of 250 000 frequencies before adding it
-    # to the masses reached 9.4e-14 there and 9.3e-14 at 1 008 000
-    for init in oracle_configurations():
-        want, counts = fsum_k_masses(init.phi, init, n_k, bins)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", CoarseKGridWarning)
-            got = density_via_k_integration(init.phi, init, n_k, bins).masses
-        assert np.max(np.abs(got - want)) <= 6e-14, (init, n_k, bins)
-        low = int(counts.min())  # 28 at (10^4, 300)
-        if low < 32:
-            assert len(caught) == 1 and f"only {low} samples" in str(caught[0].message)
-        else:
-            assert not caught
+def test_k_masses_match_per_bin_integrals(n_k, bins):
+    # measured at most 3.1e-13, mostly integrate_ac's own error (against
+    # 30-digit bin integrals the masses are within 1e-15).  The edge bins
+    # need the panels to start at k = 0, not at the 2.1e-8 that
+    # SUPPORT_RADIUS pulls back to (1e-9 to 1.3e-8 short otherwise), and
+    # the fourth configuration, phi = 0.74996, the graded breakpoints.
+    rng = np.random.default_rng(47)
+    for _ in range(6):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi = float(rng.uniform(1e-3, 1.0 - 1e-3))
+        params = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
+        binned = density_via_k_integration(phi, params, n_k, bins)
+        want = bin_integrals(params, binned.bin_edges)
+        assert np.max(np.abs(binned.masses - want)) <= 1e-10, (params, n_k, bins)
 
 
-def test_undersampling_counts_every_quadrant():
-    # at n_k = 10^4 the emptiest bin receives 44 samples of the whole grid
-    # with 200 bins and 28 with 300 (of the quadrant-I samples: 11 and 7)
-    case = fixture("halfphase_10")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CoarseKGridWarning)
-        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=200)
-    with pytest.warns(CoarseKGridWarning, match="only 28 samples"):
-        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=300)
+def test_poles_near_the_origin_are_resolved():
+    # as phi nears 0, 1/4 or 3/4 the density's poles approach x = 0, inside
+    # the middle bins' first panel: without the graded breakpoints these
+    # bins were off by 7.1e-9 to 3.0e-7 at n_k = 10^4
+    for phi in (1e-5, 0.25 + 1e-5, 0.75 - 3.6e-5, 1.0 - 1e-5):
+        params = WalkParams(phi, 0.6, 0.8, 1.0)
+        binned = density_via_k_integration(phi, params, 10**4, 40)
+        want = bin_integrals(params, binned.bin_edges, [19, 20])
+        assert np.max(np.abs(binned.masses[[19, 20]] - want)) <= 1e-10, phi
 
 
 def test_grid_rounding_avoids_axes():
     case = fixture("quarterphase_10")
     binned = density_via_k_integration(case.params.phi, case.params, n_k=10**4 + 3, bins=20)
     assert np.all(np.isfinite(binned.masses))
-    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-3
-
-
-def test_coarse_grid_warning():
-    case = fixture("halfphase_10")
-    with pytest.warns(CoarseKGridWarning):
-        density_via_k_integration(case.params.phi, case.params, n_k=10**4, bins=400)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CoarseKGridWarning)
-        density_via_k_integration(case.params.phi, case.params, n_k=10**5, bins=40)
+    assert abs(binned.masses.sum() - case.ac_integral) <= 1e-12
 
 
 def test_grid_parameter_validation():
