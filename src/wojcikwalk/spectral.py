@@ -14,7 +14,9 @@ maps x back to its frequencies and sums their residue norms into w(x).
 ``density_via_k_integration`` integrates the residue norms over k, with dk
 as the measure, between the frequencies of the bin edges: it never calls
 the closed-form weight and forms no Jacobian dk/dx, which makes its bin
-masses a genuine cross-check of the integrals of w(x) f_K(x).
+masses a genuine cross-check of the integrals of w(x) f_K(x).  Its panels
+are never wider than one fixed k spacing, so its cost grows with the number
+of bins alone.
 
 Both routes evaluate one residue formula, ``_residue_norms``, which forms
 each pole factor's denominator once for the two residues it feeds.
@@ -51,6 +53,13 @@ MIN_BINS = 20
 # Gauss-Legendre panels per block of the k integration: 16 380 frequencies,
 # whose temporaries stay near the L2 cache.
 _BLOCK_PANELS = 16_384 // _NODES.size
+
+# Widest panel of the k integration: 12 cells of a 10^4-point circle.  The
+# bin edges and graded breakpoints are exact cuts, so a finer grid buys
+# nothing: against 30-digit bin integrals this grid is within 7e-16 and
+# one of spacing 12 * 2 pi / (10^6 + 4), with 78 times the evaluations at
+# 40 bins, within 1.6e-15.
+_PANEL = _NODES.size * (2.0 * math.pi / MIN_K_SAMPLES)
 
 # Breakpoints 4^-1 ... 4^-23 in u, graded toward u = 0 (k = pi/2): as phi
 # nears 0, 1/4 or 3/4 the density's poles near x = 0 close in on the real
@@ -165,22 +174,27 @@ def density_via_k_integration(
     dk at x = u and at x = -u, one residue norm N per branch.  Every |bin
     edge|, u = 0 and the breakpoints ``_GRADED`` are pulled back to their
     frequency k(u) = atan2(sqrt(1 - 2u^2), u), so that between two of them
-    +u and -u each stay in one bin.  These frequencies and a uniform grid
-    of spacing 12 * 2 pi / n_k cut quadrant I into 12-point Gauss-Legendre
-    panels, one node per cell of a uniform n_k-point circle on average: a
-    call evaluates at most n_k / 4 + 12 (bins + 25) residue norms (250 692
-    at n_k = 10^6 and 40 bins), in blocks of ``_BLOCK_PANELS`` panels.
-    A panel's plus and minus masses go to the bins of +u and -u at its
-    midpoint.  The integrand is analytic in k, also at the support edge
-    k = 0, where the density in x has its inverse-square-root blowup.
-    Against 30-digit bin integrals the masses are within 1e-15 at
-    n_k = 10^4 and 10^6 (40, 41 and 71 bins; the six reference cases and
-    14 other configurations, phi from 1e-8 to 1 - 1e-7).
+    +u and -u each stay in one bin.  These frequencies and a fixed uniform
+    grid of spacing ``_PANEL`` = 12 * 2 pi / 10^4 cut quadrant I into
+    12-point Gauss-Legendre panels: a call evaluates the residue norms at
+    most 2 500 + 12 (bins + 25) frequencies (3 204 at 40 bins, 100 920 at
+    10^4 bins), in blocks of ``_BLOCK_PANELS`` panels.  A panel's plus and
+    minus masses go to the bins of +u and -u at its midpoint.  The
+    integrand is analytic in k, also at the support edge k = 0, where the
+    density in x has its inverse-square-root blowup.  Against 30-digit bin
+    integrals the masses are within 1e-15 (20, 40, 41 and 71 bins; the six
+    reference cases and 14 other configurations, phi from 1e-8 to
+    1 - 1e-7).
 
-    ``phi`` obeys the rule of ``WalkParams.phi``; ``n_k`` and ``bins`` are
-    integers, read as ``evolve`` reads t.
+    ``phi`` obeys the rule of ``WalkParams.phi``, and an ``init`` that
+    carries a ``phi`` must carry the same one.  ``n_k`` and ``bins`` are
+    integers, read as ``evolve`` reads t, and ``n_k`` must be at least
+    ``MIN_K_SAMPLES``; past that check it changes nothing, and the masses
+    are the same bits for every ``n_k``.
     """
     _check_phi(phi)
+    if getattr(init, "phi", phi) != phi:
+        raise ValueError(f"phi={phi!r} disagrees with init.phi={init.phi!r}")
     n_k, bins = _integer(n_k, "n_k"), _integer(bins, "bins")
     if n_k < MIN_K_SAMPLES:
         raise ValueError(f"n_k must be at least {MIN_K_SAMPLES}, got {n_k!r}")
@@ -192,8 +206,7 @@ def density_via_k_integration(
     # and pulls back to 2.1e-8
     u = np.concatenate((np.abs(edges), [0.0], _GRADED))
     k = np.arctan2(np.sqrt(1.0 - 2.0 * u * u), u)
-    cell = 2.0 * math.pi / n_k  # panels of the grid hold one node per cell
-    cuts = np.sort(np.concatenate((k, np.arange(0.0, math.pi / 2.0, _NODES.size * cell))))
+    cuts = np.sort(np.concatenate((k, np.arange(0.0, math.pi / 2.0, _PANEL))))
     cuts = cuts[np.append(np.diff(cuts) > 0.0, True)]
     masses = np.zeros(bins)
     for s in range(0, cuts.size - 1, _BLOCK_PANELS):

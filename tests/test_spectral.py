@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
@@ -17,6 +18,7 @@ from wojcikwalk import (
     weight_coefficients,
     weight_from_residues,
 )
+from wojcikwalk import spectral
 
 S = SUPPORT_RADIUS
 
@@ -192,6 +194,102 @@ def test_k_masses_match_per_bin_integrals(n_k, bins):
         assert np.max(np.abs(binned.masses - want)) <= 1e-10, (params, n_k, bins)
 
 
+def mp_weight_coefficients(params):
+    """``weight_coefficients``'s formulas in mpmath: (s0, s1, s2) and both numerator branches (t0..t3)."""
+    phi, a, b, p12 = (mp.mpf(v) for v in (params.phi, params.a, params.b, params.phi12))
+    turn = 2 * mp.pi * phi
+    cos2, sin2, cos4 = mp.cos(turn), mp.sin(turn), mp.cos(2 * turn)
+    sq = mp.sin(mp.pi * phi) ** 2
+    a1 = 1 + 2 * a * a - 2 * a * b * mp.cos(p12) - 2 * a * a * cos2 + 2 * a * b * mp.cos(p12 + turn)
+    a2 = 1 - 2 * a * a - 2 * a * b * mp.cos(p12)
+    a3 = 2 * a * (a * sin2 - b * mp.sin(p12 + turn))
+    b1 = 1 + 2 * b * b + 2 * a * b * mp.cos(p12) - 2 * a * b * mp.cos(p12 - turn) - 2 * b * b * cos2
+    b2 = 1 - 2 * b * b + 2 * a * b * mp.cos(p12)
+    b3 = 2 * b * (-a * mp.sin(p12 - turn) + b * sin2)
+    den = (16 * sq * sq * cos2 * cos2, 8 * sq * (cos4 + 4 * sq * sin2 * sin2), cos4 * cos4)
+    pos = (-4 * sq * (a3 * sin2 - a1), 4 * a2 * sq, a1 * cos4 + 8 * a3 * sq * sin2, a2 * cos4)
+    neg = (-4 * sq * (b3 * sin2 - b1), -4 * b2 * sq, b1 * cos4 + 8 * b3 * sq * sin2, -b2 * cos4)
+    return den, pos, neg
+
+
+def mp_bin_integrals(params, edges):
+    """30-digit integrals of w(x) f_K(x) over the bins, in u with x = R sin u, R = 1/sqrt(2).
+
+    dx = R cos u du cancels f_K's sqrt(R^2 - x^2) = R cos u, which leaves
+    w(x) sqrt(1 - R^2) / (pi (1 - x^2)) du.  The outer bins run to
+    u = -+pi/2, since SUPPORT_RADIUS rounds below R.  Each numerator branch
+    is integrated on its own sign of u, cut at the 4^-j of the route's
+    graded breakpoints, where the poles near x = 0 sit as phi nears 0, 1/4
+    or 3/4.
+    """
+    (s0, s1, s2), pos, neg = mp_weight_coefficients(params)
+    radius = 1 / mp.sqrt(2)
+    graded = [mp.mpf(4) ** -j for j in range(23, 0, -1)]
+
+    def integrand(u, t):
+        x = radius * mp.sin(u)
+        x2 = x * x
+        num = (((t[3] * x + t[2]) * x + t[1]) * x + t[0]) * x2
+        return num / (((s2 * x2 + s1) * x2 + s0) * (1 - x2))
+
+    us = [-mp.pi / 2] + [mp.asin(mp.mpf(float(e)) / radius) for e in edges[1:-1]] + [mp.pi / 2]
+    masses = []
+    for lo, hi in zip(us[:-1], us[1:]):
+        total = mp.zero
+        # u >= 0 on the x >= 0 branch; u < 0 as v = -u >= 0 on the other
+        for sign, t, start, end in ((1, pos, lo, hi), (-1, neg, -hi, -lo)):
+            start = max(start, mp.zero)
+            if end > start:
+                cuts = [start] + [g for g in graded if start < g < end] + [end]
+                total += mp.quad(lambda v: integrand(sign * v, t), cuts, method="gauss-legendre")
+        masses.append(total * radius / mp.pi)
+    return np.array([float(m) for m in masses])
+
+
+@pytest.mark.parametrize("bins", [20, 41])
+def test_k_masses_match_30_digit_bin_integrals(bins):
+    # measured at most 7.2e-16 (the two hadamard fixtures, 41 bins)
+    configs = [fixture(case).params for case in EXAMPLE_CASE_IDS]
+    configs += [WalkParams(phi, 0.6, 0.8, 1.0) for phi in (1e-6, 0.25 + 1e-5, 0.75 - 3.6e-5)]
+    configs.append(WalkParams(0.3, 1.0, 0.0))
+    with mp.workdps(30):
+        for params in configs:
+            binned = density_via_k_integration(params.phi, params, 10**4, bins)
+            want = mp_bin_integrals(params, binned.bin_edges)
+            assert np.max(np.abs(binned.masses - want)) <= 2e-15, params
+
+
+def test_k_masses_do_not_depend_on_n_k():
+    # n_k is checked and then unused: the k grid is fixed
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi = float(rng.uniform(0.0, 1.0))
+        params = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
+        for bins in (40, 71):
+            want = density_via_k_integration(phi, params, 10**4, bins).masses
+            for n_k in (10**5 + 2, 10**6 + 4, 1_008_000):
+                got = density_via_k_integration(phi, params, n_k, bins).masses
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, n_k, bins)
+
+
+@pytest.mark.parametrize("bins", [40, 71])
+def test_k_route_evaluation_count(monkeypatch, bins):
+    # each frequency goes through _residue_norms twice, with f and conj f;
+    # measured 3 204 frequencies at 40 bins and 3 420 at 71
+    sizes = []
+    norms = spectral._residue_norms
+
+    def spy(u, f, phi, init):
+        sizes.append(u.size)
+        return norms(u, f, phi, init)
+
+    monkeypatch.setattr(spectral, "_residue_norms", spy)
+    params = fixture("halfphase_10").params
+    density_via_k_integration(params.phi, params, 10**6 + 4, bins)
+    assert len(sizes) % 2 == 0 and sum(sizes) // 2 <= 2_500 + 12 * (bins + 25), sizes
+
+
 def test_poles_near_the_origin_are_resolved():
     # as phi nears 0, 1/4 or 3/4 the density's poles approach x = 0, inside
     # the middle bins' first panel: without the graded breakpoints these
@@ -228,3 +326,12 @@ def test_grid_parameter_validation():
         with pytest.raises(ValueError) as refused:
             density_via_k_integration(phi, init, n_k=10**5, bins=40)
         assert str(refused.value) == f"phi must lie in [0, 1), got {phi!r}"
+
+
+def test_phi_must_agree_with_init():
+    # weight_from_residues reads init.phi, so a second phi that disagrees
+    # would give masses of another configuration than its weight
+    init = WalkParams(0.5, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^phi=0\.3 disagrees with init\.phi=0\.5$"):
+        density_via_k_integration(0.3, init, 10**4, 40)
+    assert abs(density_via_k_integration(0.5, init, 10**4, 40).masses.sum() - 0.2) <= 1e-12
