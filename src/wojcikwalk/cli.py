@@ -10,7 +10,8 @@ Table bodies are the text ``"%.17g"`` gives, byte for byte.  Blocks of rows
 are formatted on numpy arrays, their digits from an error-free float product,
 with CPython's ``%`` only for values outside that route's domain.  A CSV
 body is packed into one buffer sized by the table's shape, hashed into the
-SHA-256 checksum and written block by block, never decoded whole.
+SHA-256 checksum and written block by block, never decoded whole.  A JSON
+table's rows are dumped and written block by block too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .quadrature import SUPPORT_RADIUS, QuadratureConvergenceError, _integrate_i
 __all__ = ["MAX_BINS", "RunConfig", "main", "entry", "cmd_simulate", "cmd_density", "cmd_verify", "cmd_converge"]
 
 ATOM_WINDOW = 0.05
-MAX_BINS = 10**6  # density --bins 10^6 peaks at 176 MB ru_maxrss in CSV, 856 MB in JSON (x86-64, Python 3.11)
+MAX_BINS = 10**6  # density --bins 10^6 peaks at 178 MB ru_maxrss in CSV, 136 MB in JSON (x86-64, Python 3.11)
 
 _NORMALIZE_WARN = 1e-9
 _NORMALIZE_REJECT = 1e-6
@@ -336,42 +337,47 @@ def _emit(chunks: Iterable[str], path: str | None) -> None:
         handle.writelines(chunks)
 
 
-def _emit_json(config: RunConfig, metadata: dict, rows: list | np.ndarray) -> None:
-    """Write ``json.dumps(payload, indent=2)``, with a table's rows encoded in C.
+def _json_rows(table: np.ndarray) -> Iterator[str]:
+    """The rows of a non-empty 2-D ``table`` as ``json.dumps(payload, indent=2)`` nests them.
 
     With ``indent`` set CPython's json runs its Python encoder, about twice
     the cost per float of the C one.  The text of a number holds no ',' or
-    ']', so the rows of a non-empty table (a 2-D array) are dumped without
-    indent and indented by replacing those separators: the same bytes.
+    ']', so each block of ``_BLOCK_ROWS`` rows is dumped without indent and
+    indented by replacing those separators: the same bytes, from the first
+    value to the last, with no temporary larger than one block's.
     """
-    table = isinstance(rows, np.ndarray)
-    payload = {"config": config.echo(), "metadata": metadata, "rows": rows.tolist() if table else rows}
-    if not table or rows.size == 0:
-        text = json.dumps(payload, indent=2)
-    else:
+    row_break = "\n    ],\n    [\n      "
+    for start in range(0, len(table), _BLOCK_ROWS):
         # [[a,b],[c,d]] -> the rows as the indented dump nests them, two levels deep
-        compact = json.dumps(payload["rows"], separators=(",", ":"))
-        body = compact[2:-2].replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
-        head = json.dumps({**payload, "rows": None}, indent=2)
-        text = head[: -len("null\n}")] + "[\n    [\n      " + body + "\n    ]\n  ]\n}"
-    _emit([text + "\n"], config.output_path)
+        compact = json.dumps(table[start : start + _BLOCK_ROWS].tolist(), separators=(",", ":"))
+        body = compact[2:-2].replace(",", ",\n      ").replace("],\n      [", row_break)
+        yield body if start == 0 else row_break + body
 
 
-def _emit_table(
-    config: RunConfig,
-    header: str,
-    table: np.ndarray,
-    meta_pairs: list[tuple[str, float]],
-    csv_meta: bool = True,
-) -> None:
+def _emit_json(config: RunConfig, metadata: dict, rows: list | np.ndarray) -> None:
+    """Write ``json.dumps(payload, indent=2)``, streaming a non-empty table's rows.
+
+    A list (``verify``'s checks) or an empty table is dumped whole; the rows
+    of any other table come block by block from ``_json_rows``, between the
+    head and tail of the same dump, and are written as they are made.
+    """
+    payload = {"config": config.echo(), "metadata": metadata, "rows": rows}
+    if not isinstance(rows, np.ndarray) or rows.size == 0:
+        _emit([json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"], config.output_path)
+        return
+    head = json.dumps({**payload, "rows": None}, indent=2)[: -len("null\n}")] + "[\n    [\n      "
+    _emit(itertools.chain([head], _json_rows(rows), ["\n    ]\n  ]\n}\n"]), config.output_path)
+
+
+def _emit_table(config: RunConfig, header: str, table: np.ndarray, meta_pairs: list[tuple[str, float]]) -> None:
     """Rows with their metadata and checksum: '# key=value' lines in CSV, keys in JSON.
 
     ``table`` holds one row per line.  The CSV body is the ``"%.17g"`` text
     of ``_body_blocks``, and the checksum is the SHA-256 of that body.  JSON
     hashes the blocks as they are made and keeps none; CSV packs them into
     one buffer (``_packed_body``) to write after its checksum line, decoded
-    block by block.  ``csv_meta=False`` leaves the metadata and checksum out
-    of the CSV output.
+    block by block.  A CSV table without metadata pairs prints no checksum
+    either: its header line comes first.
     """
     if config.output_format != "csv":
         digest = hashlib.sha256()
@@ -382,10 +388,9 @@ def _emit_table(
         _emit_json(config, metadata, table)
         return
     body, ends = _packed_body(table)
-    lines = []
-    if csv_meta:
-        checksum = hashlib.sha256(body).hexdigest()
-        lines = [f"# {k}={_FLOAT % v}" for k, v in meta_pairs] + [f"# checksum={checksum}"]
+    lines = [f"# {k}={_FLOAT % v}" for k, v in meta_pairs]
+    if lines:
+        lines.append(f"# checksum={hashlib.sha256(body).hexdigest()}")
     head = "\n".join(lines + [header]) + "\n"
     pieces = (str(body[start:end], "ascii") for start, end in itertools.pairwise(ends))
     _emit(itertools.chain([head], pieces, ["\n"] if len(ends) > 1 else []), config.output_path)
@@ -421,13 +426,14 @@ def _evolve(config: RunConfig) -> walk.AmplitudeField:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Rescaled empirical distribution next to the analytic density."""
-    state = _evolve(config)
-    dist = walk.distribution(state)
-    coeffs, integral, atom = _measure(config.params, config.tolerance)
-    pairs = walk.rescaled_distribution(dist)  # the t + 1 sites of t's parity
+    pairs = walk.rescaled_distribution(walk.distribution(_evolve(config)))  # the t + 1 sites of t's parity
+    if config.output_format == "json":  # only JSON prints C and the integral, so only JSON computes them
+        coeffs, integral, atom = _measure(config.params, config.tolerance)
+        meta_pairs = [("C", atom), ("integral", integral)]
+    else:
+        coeffs, meta_pairs = limit.weight_coefficients(config.params), []
     table = np.column_stack((pairs, limit.ac_density(pairs[:, 0], coeffs)))
-    meta_pairs = [("C", atom), ("integral", integral)]
-    _emit_table(config, "x_over_t,scaled_prob,density", table, meta_pairs, csv_meta=False)
+    _emit_table(config, "x_over_t,scaled_prob,density", table, meta_pairs)
     return 0
 
 
@@ -447,36 +453,28 @@ def cmd_density(config: RunConfig) -> int:
     return 0
 
 
+_STATUS = {True: "pass", False: "fail", None: "skipped"}
+
+
 def _verify_checks(config: RunConfig) -> list[dict]:
+    """``verify``'s records, one per check: its name, "pass", "fail" or "skipped", and a detail line."""
     params = config.params
     tol = max(config.tolerance, 1e-10)
     coeffs, integral, atom = _measure(params, tol)
-    checks: list[dict] = []
+    checks: list[tuple[str, bool | None, str]] = []  # (name, passed or None if skipped, detail)
 
     # (i) closed-form reduction, when this configuration is a reference case
     case_id = limit.match_fixture(params)
     if case_id is None:
-        checks.append(
-            {
-                "name": "fixture_reduction",
-                "status": "skipped",
-                "detail": "configuration matches no reference case",
-            }
-        )
+        checks.append(("fixture_reduction", None, "configuration matches no reference case"))
     else:
         closed = limit.fixture(case_id).weight_fn
         grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 1000)
         # closed() stays on Python floats: numpy's x**3 can differ in the last bit.
         w = limit.weight(grid, coeffs)
         worst = max(abs(wx - closed(x)) for wx, x in zip(w.tolist(), grid.tolist()))
-        ok = worst <= 1e-12
-        checks.append(
-            {
-                "name": "fixture_reduction",
-                "status": "pass" if ok else "fail",
-                "detail": f"case {case_id}: max |w - closed form| = {worst:.3e} (tol 1e-12)",
-            }
-        )
+        detail = f"case {case_id}: max |w - closed form| = {worst:.3e} (tol 1e-12)"
+        checks.append(("fixture_reduction", worst <= 1e-12, detail))
 
     # (ii) atom plus continuous integral is a probability decomposition
     atom_raw = 1.0 - integral
@@ -492,44 +490,24 @@ def _verify_checks(config: RunConfig) -> list[dict]:
             problems.append(f"atom {atom!r} != reference {ref.atom!r}")
         if abs(integral - ref.ac_integral) > budget:
             problems.append(f"integral {integral!r} != reference {ref.ac_integral!r}")
-    checks.append(
-        {
-            "name": "mass_decomposition",
-            "status": "pass" if not problems else "fail",
-            "detail": "; ".join(problems) if problems else (
-                f"C = {atom:.12g}, integral = {integral:.12g}, sum = {atom + integral:.12g}"
-            ),
-        }
-    )
+    detail = "; ".join(problems) or f"C = {atom:.12g}, integral = {integral:.12g}, sum = {atom + integral:.12g}"
+    checks.append(("mass_decomposition", not problems, detail))
 
     # (iii) residue route agrees with the closed-form weight pointwise
     grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 201)
     grid = grid[np.abs(grid) > 1e-3]
     residues = spectral.weight_from_residues(grid, params)
     worst = float(np.max(np.abs(residues - limit.weight(grid, coeffs))))
-    ok = worst <= 1e-9
-    checks.append(
-        {
-            "name": "spectral_oracle",
-            "status": "pass" if ok else "fail",
-            "detail": f"max |w_residues - w| = {worst:.3e} (tol 1e-9)",
-        }
-    )
+    checks.append(("spectral_oracle", worst <= 1e-9, f"max |w_residues - w| = {worst:.3e} (tol 1e-9)"))
 
     # (iv) fast evolution equals the exhaustive path sum at small t
     t_small = max(2, min(config.steps, 12))
     fast = walk.evolve(params, t_small)
     brute = walk.path_sum_field(params, t_small)
     diff = float(np.max(np.abs(fast.amplitudes - brute.amplitudes)))
-    ok = diff <= 1e-12
-    checks.append(
-        {
-            "name": "path_sum",
-            "status": "pass" if ok else "fail",
-            "detail": f"t = {t_small}: max amplitude difference = {diff:.3e} (tol 1e-12)",
-        }
-    )
-    return checks
+    detail = f"t = {t_small}: max amplitude difference = {diff:.3e} (tol 1e-12)"
+    checks.append(("path_sum", diff <= 1e-12, detail))
+    return [{"name": name, "status": _STATUS[passed], "detail": detail} for name, passed, detail in checks]
 
 
 def cmd_verify(config: RunConfig) -> int:

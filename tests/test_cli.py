@@ -89,6 +89,22 @@ def test_simulate_json_schema_and_checksum(capsys):
     assert meta["checksum"] == checksum_of(payload["rows"])
 
 
+def test_simulate_csv_needs_no_integral(capsys):
+    # at phi = 1e-6 the continuous integral does not converge to --tol 1e-8;
+    # the CSV table prints neither C nor the integral, so it needs neither
+    code, out, err = run_cli(["simulate", "--phi", "1e-6", "--steps", "100"], capsys)
+    assert (code, err) == (0, "")
+    meta, header, rows = csv_body(out)
+    assert meta == {} and header == "x_over_t,scaled_prob,density" and len(rows) == 101
+    table = np.array(rows, dtype=float)
+    coeffs = limit.weight_coefficients(walk.WalkParams(1e-6, 1.0, 0.0))
+    assert np.array_equal(table[:, 2], limit.ac_density(table[:, 0], coeffs))
+    # JSON metadata carries the integral, so that run still fails on it
+    code, out, err = run_cli(["simulate", "--phi", "1e-6", "--steps", "100", "--format", "json"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no convergence to tol=1e-08"), err
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -157,6 +173,24 @@ def test_verify_skips_fixture_check_off_reference(capsys):
         line.startswith("SKIPPED") and "fixture_reduction" in line
         for line in out.splitlines()
     )
+
+
+def test_verify_json_records_share_one_shape(capsys, monkeypatch):
+    # skipped, passed and failed checks: one record shape, and the metadata
+    # counts what the records say
+    monkeypatch.setattr(cli.spectral, "weight_from_residues", lambda x, params: 0.123)
+    code, out, _ = run_cli(["verify", "--phi", "0.37", "--steps", "4", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert [list(row) for row in payload["rows"]] == [["name", "status", "detail"]] * 4
+    statuses = {row["name"]: row["status"] for row in payload["rows"]}
+    assert statuses == {
+        "fixture_reduction": "skipped",
+        "mass_decomposition": "pass",
+        "spectral_oracle": "fail",
+        "path_sum": "pass",
+    }
+    assert payload["metadata"] == {"passed": False, "checks": 4, "failed": 1}
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
@@ -524,18 +558,37 @@ def test_json_table_rows_are_the_indented_dump(capsys):
         np.array([[-math.inf]]),
         np.zeros((0, 3)),
         np.zeros((2, 0)),
+        # three blocks of rows, the specials on both sides of each block boundary
+        np.resize([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, -2.0], (2 * cli._BLOCK_ROWS + 1, 3)),
     ]
     for table in tables:
         metadata = {"checksum": "0" * 64, "rows": len(table), "C": math.nan}
         cli._emit_json(config, metadata, table)
         want = {"config": config.echo(), "metadata": metadata, "rows": table.tolist()}
-        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", table.shape
+        assert_same_body(capsys.readouterr().out, json.dumps(want, indent=2) + "\n")
     for argv in (
         ["converge", "--steps", "20", "--bins", "2", "--format", "json"],  # zero rows
         ["density", "--bins", "5", "--phi", "0.37", "--format", "json"],
     ):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_json_table_memory_is_bounded():
+    # the rows are dumped a block at a time, not held as lists and text
+    # whole: a 55 MB peak, against 200 MB when the whole table was held
+    # (x86-64, Python 3.11, numpy 2.4).  On Linux a child's ru_maxrss also
+    # counts the RSS of the process that spawned it, so a small Python
+    # process starts the run and reports, not pytest itself.
+    spawn = (
+        "import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+        "_, status, usage = os.wait4(proc.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+    )
+    argv = [sys.executable, "-m", "wojcikwalk", "density", "--bins", "200000", "--format", "json"]
+    report = subprocess.run([sys.executable, "-c", spawn, *argv], capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, report.stdout.split())
+    assert code == 0
+    assert peak_kb / 1024 <= 90.0, peak_kb
 
 
 @pytest.mark.parametrize(

@@ -171,10 +171,7 @@ def bin_integrals(params, edges, which=None):
         (10**4, 71),
         (10**4, 300),
         (10**4, 400),
-        (10**5, 40),
         (10**5 + 2, 41),
-        (10**6 + 4, 40),
-        (10**6 + 4, 71),
         (1_008_000, 21),
     ],
 )
