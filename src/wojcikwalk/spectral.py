@@ -47,9 +47,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _AXIS_TOL = 1e-12
 
-MIN_K_SAMPLES = 10**4
-MIN_BINS = 20
-
 # Gauss-Legendre panels per block of the k integration: 16 380 frequencies,
 # whose temporaries stay near the L2 cache.
 _BLOCK_PANELS = 16_384 // _NODES.size
@@ -59,7 +56,7 @@ _BLOCK_PANELS = 16_384 // _NODES.size
 # nothing: against 30-digit bin integrals this grid is within 7e-16 and
 # one of spacing 12 * 2 pi / (10^6 + 4), with 78 times the evaluations at
 # 40 bins, within 1.6e-15.
-_PANEL = _NODES.size * (2.0 * math.pi / MIN_K_SAMPLES)
+_PANEL = _NODES.size * (2.0 * math.pi / 10**4)
 
 # Breakpoints 4^-1 ... 4^-23 in u, graded toward u = 0 (k = pi/2): as phi
 # nears 0, 1/4 or 3/4 the density's poles near x = 0 close in on the real
@@ -142,21 +139,16 @@ def weight_from_residues(x, params: WalkParams):
         raise ValueError(f"need 0 < |x| < 1/sqrt(2), got x={float(xs[outside][0])!r}")
     cos_mag = (u / np.sqrt(1.0 - u * u)).ravel()
     # math.acos, not np.arccos: they differ in the last bit for ~9 % of arguments
-    k_first = np.array([math.acos(c) for c in cos_mag.tolist()])  # quadrant I
-    k_second = math.pi - k_first  # quadrant II
-    _require_interior(np.concatenate((k_first, k_second)))
-    u_first, f_first = _ballistic_pole(np.cos(k_first))
-    u_second, f_second = _ballistic_pole(np.cos(k_second))
-    positive = xs.ravel() > 0.0
-    plus = (
-        _residue_norms(u_first, f_first.conj(), params.phi, params)[0]
-        + _residue_norms(u_second, f_second, params.phi, params)[0]
-    )
-    minus = (
-        _residue_norms(u_first, f_first, params.phi, params)[1]
-        + _residue_norms(u_second, f_second.conj(), params.phi, params)[1]
-    )
-    total = np.where(positive, plus, minus)
+    k_first = np.array([math.acos(c) for c in cos_mag.tolist()])
+    n = k_first.size
+    k = np.concatenate((k_first, math.pi - k_first))  # quadrants I and II
+    _require_interior(k)
+    u_k, f = _ballistic_pole(np.cos(k))
+    # pole factors at x = u; x = -u takes their conjugates
+    f_plus = np.concatenate((f[:n].conj(), f[n:]))
+    plus = _residue_norms(u_k, f_plus, params.phi, params)[0]
+    minus = _residue_norms(u_k, f_plus.conj(), params.phi, params)[1]
+    total = np.where(xs.ravel() > 0.0, plus[:n] + plus[n:], minus[:n] + minus[n:])
     return _like(x, total.reshape(xs.shape))
 
 
@@ -188,18 +180,17 @@ def density_via_k_integration(
 
     ``phi`` obeys the rule of ``WalkParams.phi``, and an ``init`` that
     carries a ``phi`` must carry the same one.  ``n_k`` and ``bins`` are
-    integers, read as ``evolve`` reads t, and ``n_k`` must be at least
-    ``MIN_K_SAMPLES``; past that check it changes nothing, and the masses
-    are the same bits for every ``n_k``.
+    integers, read as ``evolve`` reads t, and ``bins`` is at least 1.
+    ``n_k`` is only checked to be an integer: the grid is fixed, so the
+    masses are the same bits for every ``n_k``.
     """
     _check_phi(phi)
     if getattr(init, "phi", phi) != phi:
         raise ValueError(f"phi={phi!r} disagrees with init.phi={init.phi!r}")
-    n_k, bins = _integer(n_k, "n_k"), _integer(bins, "bins")
-    if n_k < MIN_K_SAMPLES:
-        raise ValueError(f"n_k must be at least {MIN_K_SAMPLES}, got {n_k!r}")
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be at least {MIN_BINS}, got {bins!r}")
+    _integer(n_k, "n_k")
+    bins = _integer(bins, "bins")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins!r}")
     edges = np.linspace(-SUPPORT_RADIUS, SUPPORT_RADIUS, bins + 1)
     # u = 0 ends quadrant I at k = pi/2 (0 is no bin edge when bins is odd);
     # the grid starts it at k = 0, as SUPPORT_RADIUS rounds below 1/sqrt(2)

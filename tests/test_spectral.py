@@ -9,8 +9,10 @@ from mpmath import mp
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
     SUPPORT_RADIUS,
+    QuadratureConvergenceError,
     WalkParams,
     ac_density,
+    atom_mass,
     density_via_k_integration,
     fixture,
     integrate_ac,
@@ -164,8 +166,12 @@ def bin_integrals(params, edges, which=None):
     "n_k, bins",
     # odd bin counts have no edge at 0 (without u = 0 and the graded
     # breakpoints the middle bin was up to 3.8e-5 off); 400 bins at
-    # n_k = 10^4 once left some bins under 32 samples
+    # n_k = 10^4 once left some bins under 32 samples.  One bin holds the
+    # whole continuous mass.
     [
+        (10**4, 1),
+        (10**4, 2),
+        (10**4, 3),
         (10**4, 20),
         (10**4, 40),
         (10**4, 71),
@@ -176,7 +182,8 @@ def bin_integrals(params, edges, which=None):
     ],
 )
 def test_k_masses_match_per_bin_integrals(n_k, bins):
-    # measured at most 3.1e-13, mostly integrate_ac's own error (against
+    # measured at most 3.1e-13 (2.1e-13 for 1 to 3 bins), mostly
+    # integrate_ac's own error (against
     # 30-digit bin integrals the masses are within 1e-15).  The edge bins
     # need the panels to start at k = 0, not at the 2.1e-8 that
     # SUPPORT_RADIUS pulls back to (1e-9 to 1.3e-8 short otherwise), and
@@ -257,7 +264,7 @@ def test_k_masses_match_30_digit_bin_integrals(bins):
 
 
 def test_k_masses_do_not_depend_on_n_k():
-    # n_k is checked and then unused: the k grid is fixed
+    # n_k is only checked to be an integer: the k grid is fixed
     rng = np.random.default_rng(53)
     for _ in range(3):
         theta = rng.uniform(0.0, math.pi / 2.0)
@@ -265,7 +272,7 @@ def test_k_masses_do_not_depend_on_n_k():
         params = WalkParams(phi, math.cos(theta), math.sin(theta), float(rng.uniform(-3, 3)))
         for bins in (40, 71):
             want = density_via_k_integration(phi, params, 10**4, bins).masses
-            for n_k in (10**5 + 2, 10**6 + 4, 1_008_000):
+            for n_k in (1, 10**5 + 2, 10**6 + 4, 1_008_000):
                 got = density_via_k_integration(phi, params, n_k, bins).masses
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, n_k, bins)
 
@@ -285,6 +292,27 @@ def test_k_route_evaluation_count(monkeypatch, bins):
     params = fixture("halfphase_10").params
     density_via_k_integration(params.phi, params, 10**6 + 4, bins)
     assert len(sizes) % 2 == 0 and sum(sizes) // 2 <= 2_500 + 12 * (bins + 25), sizes
+
+
+def test_residue_weight_evaluation_count(monkeypatch):
+    # quadrants I and II are one array: one pole pass, and one norm pass
+    # each with the pole factors of x > 0 and with their conjugates
+    calls = []
+    pole, norms = spectral._ballistic_pole, spectral._residue_norms
+
+    def pole_spy(c):
+        calls.append(("pole", c.size))
+        return pole(c)
+
+    def norms_spy(u, f, phi, init):
+        calls.append(("norms", u.size))
+        return norms(u, f, phi, init)
+
+    monkeypatch.setattr(spectral, "_ballistic_pole", pole_spy)
+    monkeypatch.setattr(spectral, "_residue_norms", norms_spy)
+    xs = np.linspace(-S, S, 72)[1:-1]
+    weight_from_residues(xs, fixture("halfphase_10").params)
+    assert calls == [("pole", 140), ("norms", 140), ("norms", 140)]
 
 
 def test_poles_near_the_origin_are_resolved():
@@ -307,10 +335,8 @@ def test_grid_rounding_avoids_axes():
 
 def test_grid_parameter_validation():
     init = WalkParams(0.5, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        density_via_k_integration(0.5, init, n_k=9_999, bins=40)
-    with pytest.raises(ValueError):
-        density_via_k_integration(0.5, init, n_k=10**5, bins=19)
+    with pytest.raises(ValueError, match=r"^bins must be at least 1, got 0$"):
+        density_via_k_integration(0.5, init, n_k=10**5, bins=0)
     # n_k and bins are read as evolve reads t: numpy integers are taken, a
     # float or a bool is refused by name before anything runs
     non_integers = ((1e5, 40, "n_k"), (100000.5, 40, "n_k"), (10**5, 40.0, "bins"), (10**5, True, "bins"))
@@ -332,3 +358,83 @@ def test_phi_must_agree_with_init():
     with pytest.raises(ValueError, match=r"^phi=0\.3 disagrees with init\.phi=0\.5$"):
         density_via_k_integration(0.3, init, 10**4, 40)
     assert abs(density_via_k_integration(0.5, init, 10**4, 40).masses.sum() - 0.2) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries and the atom on log-graded phases
+# ---------------------------------------------------------------------------
+
+
+def graded_phases():
+    """phi = c +- 10^-e for c in {0, 1/4, 1/2, 3/4, 1} and e = 2..10, kept in [0, 1): 72 phases.
+
+    As phi nears 0, 1/4 or 3/4 the poles of w close in on x = 0, where
+    uniform draws of phi never go.
+    """
+    return [
+        c + sign * 10.0**-e
+        for c in (0.0, 0.25, 0.5, 0.75, 1.0)
+        for e in range(2, 11)
+        for sign in (1.0, -1.0)
+        if 0.0 <= c + sign * 10.0**-e < 1.0
+    ]
+
+
+def test_exact_symmetries_hold_on_log_graded_phases():
+    # each map leaves the limit law unchanged, with the mirror also
+    # reversing x: complex conjugation (phi -> 1 - phi, phases negated),
+    # the mirror (a, b, phi1, phi2) -> (b, a, phi2, phi1 + pi) and a global
+    # phase.  Measured at most 4.2e-16 per 40-bin mass, 3.5e-14 of max |w|
+    # for the residue weight and 4.1e-14 for the closed form, all from the
+    # conjugation near phi = 1/4, which rounds the phase.  The x grid keeps
+    # |x| >= 0.01, where the residue route's x -> k round trip (about
+    # 4e-16 / |x| relative) stays well inside the bound.
+    rng = np.random.default_rng(59)
+    xs = np.linspace(-S, S, 72)[1:-1]
+    phases = graded_phases()
+    assert len(phases) == 72
+    for phi in phases:
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi1, phi2, turn = (float(v) for v in rng.uniform(-3.0, 3.0, 3))
+        params = WalkParams(phi, math.cos(theta), math.sin(theta), phi1, phi2)
+        images = (
+            (WalkParams(1.0 - phi, params.a, params.b, -phi1, -phi2), 1.0),
+            (WalkParams(phi, params.b, params.a, phi2, phi1 + math.pi), -1.0),
+            (WalkParams(phi, params.a, params.b, phi1 + turn, phi2 + turn), 1.0),
+        )
+        masses = density_via_k_integration(phi, params, 10**4, 40).masses
+        residues = weight_from_residues(xs, params)
+        closed = weight(xs, weight_coefficients(params))
+        for image, side in images:
+            image_masses = density_via_k_integration(image.phi, image, 10**4, 40).masses
+            if side < 0.0:
+                image_masses = image_masses[::-1]
+            assert np.max(np.abs(image_masses - masses)) <= 1e-15, (params, image)
+            got = weight_from_residues(side * xs, image)
+            assert np.max(np.abs(got - residues)) <= 1e-13 * np.max(np.abs(residues)), (params, image)
+            got = weight(side * xs, weight_coefficients(image))
+            assert np.max(np.abs(got - closed)) <= 1e-13 * np.max(np.abs(closed)), (params, image)
+
+
+def closed_form_fails(reason):
+    return pytest.mark.xfail(strict=True, raises=(AssertionError, QuadratureConvergenceError), reason=reason)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        pytest.param(1e-8, marks=closed_form_fails("off by 6.3e-8 without an error")),
+        pytest.param(0.2500001, marks=closed_form_fails("off by 6.0e-8 without an error")),
+        pytest.param(1e-6, marks=closed_form_fails("the quadrature does not converge")),
+        pytest.param(0.749999, marks=closed_form_fails("the quadrature does not converge")),
+        pytest.param(1.0 - 1e-7, marks=closed_form_fails("the quadrature does not converge")),
+        0.3,  # control: 2.2e-16
+    ],
+)
+def test_closed_form_atom_matches_the_residue_masses(phi):
+    # near phi = 0, 1/4, 3/4 and 1 the poles of w sit next to x = 0, and
+    # atom_mass's adaptive quadrature in x misses them; the residue masses
+    # are within 1e-15 of 30-digit integrals there
+    params = WalkParams(phi, 0.6, 0.8, 1.0)
+    want = 1.0 - density_via_k_integration(phi, params, 10**4, 40).masses.sum()
+    assert abs(atom_mass(weight_coefficients(params), 1e-10) - want) <= 1e-10
