@@ -470,9 +470,7 @@ def _verify_checks(config: RunConfig) -> list[dict]:
     else:
         closed = limit.fixture(case_id).weight_fn
         grid = np.linspace(-SUPPORT_RADIUS + 1e-3, SUPPORT_RADIUS - 1e-3, 1000)
-        # closed() stays on Python floats: numpy's x**3 can differ in the last bit.
-        w = limit.weight(grid, coeffs)
-        worst = max(abs(wx - closed(x)) for wx, x in zip(w.tolist(), grid.tolist()))
+        worst = float(np.max(np.abs(limit.weight(grid, coeffs) - closed(grid))))
         detail = f"case {case_id}: max |w - closed form| = {worst:.3e} (tol 1e-12)"
         checks.append(("fixture_reduction", worst <= 1e-12, detail))
 

@@ -11,8 +11,8 @@ weak-convergence result:
 
 with one numerator branch for x >= 0 and another for x < 0, and the atom is
 recovered as C = 1 - integral of the continuous part.  The evaluators take a
-float or a numpy array of abscissae: a float in gives a float out, an array
-in gives an array of the same shape out, with identical bits per point.
+numpy array of abscissae and return an array of the same shape (a scalar in
+gives a 0-d array out).
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class WeightCoefficients:
     t3_neg: float
 
 
-def _like(x, values: np.ndarray):
-    """A float for a scalar argument, the array itself for an array argument."""
-    return float(values) if np.ndim(x) == 0 else values
-
-
 def _zero_outside(x, radius: float, inner: Callable[[np.ndarray], np.ndarray]):
     """``inner`` on the points of x with |x| < radius, 0 elsewhere.
 
@@ -128,7 +123,7 @@ def _zero_outside(x, radius: float, inner: Callable[[np.ndarray], np.ndarray]):
     out = np.zeros_like(xs)
     inside = ~(np.abs(xs) >= radius)
     out[inside] = inner(xs[inside])
-    return _like(x, out)
+    return out
 
 
 def konno_density(x, a: float):
@@ -218,7 +213,7 @@ def _validate_on_support(coeffs: WeightCoefficients) -> None:
 
 
 def weight(x, coeffs: WeightCoefficients):
-    """Rational weight w(x) on (-1/sqrt(2), 1/sqrt(2)), for a float or an array.
+    """Rational weight w(x) on (-1/sqrt(2), 1/sqrt(2)), array in, array of the same shape out.
 
     The numerator branch switches at x = 0 (the x >= 0 branch owns the
     boundary point).  When the lower denominator coefficients vanish the
@@ -258,7 +253,7 @@ def weight(x, coeffs: WeightCoefficients):
     if degenerate.any():
         raise DegenerateDenominatorError(float(xr[degenerate][0]), coeffs.phi)
     out[~tiny] = num / den
-    return _like(x, out)
+    return out
 
 
 def ac_density(x, coeffs: WeightCoefficients):
@@ -305,33 +300,21 @@ class ExampleFixture:
 
     case_id: str
     params: WalkParams
-    weight_fn: Callable[[float], float]
+    weight_fn: Callable[[np.ndarray], np.ndarray]
     ac_integral: float
     atom: float
-
-
-# The closed forms take floats or arrays, like weight().  A float is computed
-# in Python float arithmetic throughout: numpy's x**3 on an array can differ in
-# the last bit, and the verify command prints the float comparison.
 
 
 def _w_hadamard_10(x):
     return 1.0 - x
 
 
-def _branch(x, pos, neg):
-    """``pos`` where x >= 0, else ``neg``: ``np.where`` on arrays, a Python conditional on a float."""
-    if isinstance(x, float):  # verify's closed form runs point by point; np.where costs ~5 µs a call
-        return pos if x >= 0.0 else neg
-    return np.where(x >= 0.0, pos, neg)
-
-
 def _w_hadamard_sym(x):
-    return 1.0 if isinstance(x, float) else np.ones_like(x, dtype=float)
+    return np.ones_like(x, dtype=float)
 
 
 def _w_halfphase_10(x):
-    num = _branch(x, -(x**3) + 5.0 * x * x, -(x**3) + x * x)
+    num = np.where(x >= 0.0, -(x**3) + 5.0 * x * x, -(x**3) + x * x)
     return num / (x * x + 4.0)
 
 
@@ -340,7 +323,7 @@ def _w_halfphase_sym(x):
 
 
 def _w_quarterphase_10(x):
-    num = _branch(x, x**3 + 5.0 * x * x - 2.0 * x + 2.0, x**3 - x * x - 2.0 * x + 2.0)
+    num = np.where(x >= 0.0, x**3 + 5.0 * x * x - 2.0 * x + 2.0, x**3 - x * x - 2.0 * x + 2.0)
     return num / (x * x + 4.0)
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit import _like
 from .quadrature import _NODES, _WEIGHTS, SUPPORT_RADIUS
 from .walk import WalkParams, _check_phi, _integer
 
@@ -120,9 +119,9 @@ def weight_from_residues(x, params: WalkParams):
 
     The two frequencies in (0, pi) that feed |x| (one per sign of
     sin(k)cos(k)) contribute one residue norm each; their sum is w(x).
-    Any x outside 0 < |x| < 1/sqrt(2) is refused; x is a float (float out)
-    or an array (array of the same shape out).  Of the spinor only ``a``,
-    ``b`` and ``phi12`` are read, as in ``limit.weight_coefficients``.
+    Any x outside 0 < |x| < 1/sqrt(2) is refused; the result has the shape
+    of x (a 0-d array for a scalar x).  Of the spinor only ``a``, ``b`` and
+    ``phi12`` are read, as in ``limit.weight_coefficients``.
 
     Near x = 0 the frequencies approach pi/2, and the x -> k -> cos k round
     trip keeps only the absolute accuracy of k, about 1e-16: against
@@ -144,12 +143,14 @@ def weight_from_residues(x, params: WalkParams):
     k = np.concatenate((k_first, math.pi - k_first))  # quadrants I and II
     _require_interior(k)
     u_k, f = _ballistic_pole(np.cos(k))
-    # pole factors at x = u; x = -u takes their conjugates
+    # pole factors at x = u; x = -u takes their conjugates, so one norm pass
+    # serves both signs: the plus norms of x > 0, the minus norms of x < 0
     f_plus = np.concatenate((f[:n].conj(), f[n:]))
-    plus = _residue_norms(u_k, f_plus, params.phi, params)[0]
-    minus = _residue_norms(u_k, f_plus.conj(), params.phi, params)[1]
-    total = np.where(xs.ravel() > 0.0, plus[:n] + plus[n:], minus[:n] + minus[n:])
-    return _like(x, total.reshape(xs.shape))
+    positive = xs.ravel() > 0.0
+    f_x = np.where(np.tile(positive, 2), f_plus, f_plus.conj())
+    plus, minus = _residue_norms(u_k, f_x, params.phi, params)
+    total = np.where(positive, plus[:n] + plus[n:], minus[:n] + minus[n:])
+    return total.reshape(xs.shape)
 
 
 def density_via_k_integration(

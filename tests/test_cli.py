@@ -214,6 +214,19 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
         "integral 0.3 != reference 0.2"
     ]
     assert lines[-1] == "1 CHECK(S) FAILED"
+    # an integral above 1 breaks the sum and the raw atom too; the atom is
+    # clamped to 0 with a warning
+    wrong = quadrature.QuadratureResult(value=1.5, est_error=0.0, evaluations=1)
+    with pytest.warns(RuntimeWarning, match=r"outside \[0, 1\]"):
+        code, out, _ = run_cli(["verify", "--phi", "0.5", "--steps", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL    mass_decomposition: C + integral = 1.5; raw atom -0.5 outside [0, 1]; "
+        "atom 0.0 != reference 0.8; integral 1.5 != reference 0.2"
+    ]
+    assert lines[-1] == "1 CHECK(S) FAILED"
 
 
 def test_degenerate_denominator_exits_two(capsys, monkeypatch):

@@ -292,9 +292,9 @@ _FULL_GRID = np.concatenate((_INNER_GRID, [S, -S, 0.71, -0.8, 1.5]))
 
 
 def test_array_evaluation_matches_float_calls(frozen):
-    """An array in gives the float calls' values bit for bit, in its own shape.
+    """An array in gives the frozen scalar implementation's values bit for bit, in its own shape.
 
-    The float calls are checked against the frozen scalar implementation too.
+    A scalar in gives a 0-d array holding the same value.
     """
     configs = [(fixture(c).params.phi, fixture(c).params) for c in EXAMPLE_CASE_IDS]
     configs += list(random_configurations(3, seed=29))
@@ -307,13 +307,12 @@ def test_array_evaluation_matches_float_calls(frozen):
             (_FULL_GRID, lambda x: ac_density(x, coeffs), lambda x: frozen.limit.ac_density(x, old)),
         )
         for grid, evaluate, reference in evaluators:
-            points = grid.tolist()
-            floats = [evaluate(x) for x in points]
-            assert all(type(v) is float for v in floats)
-            assert np.array_equal(evaluate(grid), np.array(floats))
-            assert np.array_equal(np.array(floats), np.array([reference(x) for x in points]))
+            want = np.array([reference(x) for x in grid.tolist()])
+            assert np.array_equal(evaluate(grid), want)
             square = grid[:400].reshape(20, 20)
-            assert np.array_equal(evaluate(square), np.array(floats[:400]).reshape(20, 20))
+            assert np.array_equal(evaluate(square), want[:400].reshape(20, 20))
+            single = evaluate(float(grid[7]))
+            assert single.shape == () and single == want[7]
 
 
 # ---------------------------------------------------------------------------
