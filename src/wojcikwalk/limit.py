@@ -140,7 +140,13 @@ def weight_coefficients(params: WalkParams) -> WeightCoefficients:
     """Evaluate every coefficient of the weight for one configuration.
 
     Of the initial spinor only ``a``, ``b`` and ``phi12`` are read, since a
-    global phase drops out of the limit measure.  Also scans the
+    global phase drops out of the limit measure.  The two numerator
+    branches are one formula of (c1, c2, c3): the walk's mirror maps the
+    spinor (a, b, phi12) to (b, a, -phi12 - pi) and (a1, a2, a3) to
+    (b1, b2, b3), so the x < 0 branch is the x >= 0 branch of the mirrored
+    spinor at -x.  Going to -x negates t1 and t3, the coefficients of the
+    odd powers; they are c2 times a factor and t0, t2 do not read c2, so
+    that branch is the formula at (b1, -b2, b3).  Also scans the
     denominator over the support as a guard against a degenerate
     configuration (none is known to exist) and checks that the resulting
     density is nonnegative, since both properties are assumed downstream.
@@ -180,20 +186,15 @@ def weight_coefficients(params: WalkParams) -> WeightCoefficients:
     s1 = 8.0 * sinp_sq * (cos4 + 4.0 * sinp_sq * sin2 * sin2)
     s2 = cos4 * cos4
 
-    coeffs = WeightCoefficients(
-        phi=phi,
-        s0=s0,
-        s1=s1,
-        s2=s2,
-        t0_pos=-4.0 * sinp_sq * (a3 * sin2 - a1),
-        t1_pos=4.0 * a2 * sinp_sq,
-        t2_pos=a1 * cos4 + 8.0 * a3 * sinp_sq * sin2,
-        t3_pos=a2 * cos4,
-        t0_neg=-4.0 * sinp_sq * (b3 * sin2 - b1),
-        t1_neg=-4.0 * b2 * sinp_sq,
-        t2_neg=b1 * cos4 + 8.0 * b3 * sinp_sq * sin2,
-        t3_neg=-b2 * cos4,
-    )
+    def numerator(c1: float, c2: float, c3: float) -> tuple[float, float, float, float]:
+        return (
+            -4.0 * sinp_sq * (c3 * sin2 - c1),
+            4.0 * c2 * sinp_sq,
+            c1 * cos4 + 8.0 * c3 * sinp_sq * sin2,
+            c2 * cos4,
+        )
+
+    coeffs = WeightCoefficients(phi, s0, s1, s2, *numerator(a1, a2, a3), *numerator(b1, -b2, b3))
     _validate_on_support(coeffs)
     return coeffs
 

@@ -46,10 +46,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _AXIS_TOL = 1e-12
 
-# Gauss-Legendre panels per block of the k integration: 16 380 frequencies,
-# whose temporaries stay near the L2 cache.
-_BLOCK_PANELS = 16_384 // _NODES.size
-
 # Widest panel of the k integration: 12 cells of a 10^4-point circle.  The
 # bin edges and graded breakpoints are exact cuts, so a finer grid buys
 # nothing: against 30-digit bin integrals this grid is within 7e-16 and
@@ -143,11 +139,11 @@ def weight_from_residues(x, params: WalkParams):
     k = np.concatenate((k_first, math.pi - k_first))  # quadrants I and II
     _require_interior(k)
     u_k, f = _ballistic_pole(np.cos(k))
-    # pole factors at x = u; x = -u takes their conjugates, so one norm pass
-    # serves both signs: the plus norms of x > 0, the minus norms of x < 0
-    f_plus = np.concatenate((f[:n].conj(), f[n:]))
+    # at x = u the pole factors are conj f in quadrant I and f in quadrant
+    # II, at x = -u the reverse, so one norm pass serves both signs: the
+    # plus norms of x > 0, the minus norms of x < 0
     positive = xs.ravel() > 0.0
-    f_x = np.where(np.tile(positive, 2), f_plus, f_plus.conj())
+    f_x = np.where(np.concatenate((positive, ~positive)), f.conj(), f)
     plus, minus = _residue_norms(u_k, f_x, params.phi, params)
     total = np.where(positive, plus[:n] + plus[n:], minus[:n] + minus[n:])
     return total.reshape(xs.shape)
@@ -171,13 +167,12 @@ def density_via_k_integration(
     grid of spacing ``_PANEL`` = 12 * 2 pi / 10^4 cut quadrant I into
     12-point Gauss-Legendre panels: a call evaluates the residue norms at
     most 2 500 + 12 (bins + 25) frequencies (3 204 at 40 bins, 100 920 at
-    10^4 bins), in blocks of ``_BLOCK_PANELS`` panels.  A panel's plus and
-    minus masses go to the bins of +u and -u at its midpoint.  The
-    integrand is analytic in k, also at the support edge k = 0, where the
-    density in x has its inverse-square-root blowup.  Against 30-digit bin
-    integrals the masses are within 1e-15 (20, 40, 41 and 71 bins; the six
-    reference cases and 14 other configurations, phi from 1e-8 to
-    1 - 1e-7).
+    10^4 bins), all in one pass.  A panel's plus and minus masses go to
+    the bins of +u and -u at its midpoint.  The integrand is analytic in
+    k, also at the support edge k = 0, where the density in x has its
+    inverse-square-root blowup.  Against 30-digit bin integrals the masses
+    are within 1e-15 (20, 40, 41 and 71 bins; the six reference cases and
+    14 other configurations, phi from 1e-8 to 1 - 1e-7).
 
     ``phi`` obeys the rule of ``WalkParams.phi``, and an ``init`` that
     carries a ``phi`` must carry the same one.  ``n_k`` and ``bins`` are
@@ -200,18 +195,16 @@ def density_via_k_integration(
     k = np.arctan2(np.sqrt(1.0 - 2.0 * u * u), u)
     cuts = np.sort(np.concatenate((k, np.arange(0.0, math.pi / 2.0, _PANEL))))
     cuts = cuts[np.append(np.diff(cuts) > 0.0, True)]
+    half = 0.5 * np.diff(cuts)
+    centre = cuts[:-1] + half
+    nodes = (centre[:, None] + half[:, None] * _NODES).ravel()
+    u_k, f = _ballistic_pole(np.cos(nodes))
+    plus, minus = _residue_norms(u_k, f, phi, init)
+    plus_conj, minus_conj = _residue_norms(u_k, f.conj(), phi, init)
+    # each panel lies between two breakpoints, so its midpoint's u names its bins
+    mid = _ballistic_pole(np.cos(centre))[0]
     masses = np.zeros(bins)
-    for s in range(0, cuts.size - 1, _BLOCK_PANELS):
-        ends = cuts[s : s + _BLOCK_PANELS + 1]
-        half = 0.5 * np.diff(ends)
-        centre = ends[:-1] + half
-        nodes = (centre[:, None] + half[:, None] * _NODES).ravel()
-        u_k, f = _ballistic_pole(np.cos(nodes))
-        plus, minus = _residue_norms(u_k, f, phi, init)
-        plus_conj, minus_conj = _residue_norms(u_k, f.conj(), phi, init)
-        # each panel lies between two breakpoints, so its midpoint's u names its bins
-        mid = _ballistic_pole(np.cos(centre))[0]
-        for sign, norms in ((1.0, plus + plus_conj), (-1.0, minus + minus_conj)):
-            where = np.searchsorted(edges[1:-1], sign * mid, side="right")
-            np.add.at(masses, where, half * (norms.reshape(-1, _NODES.size) @ _WEIGHTS))
+    for sign, norms in ((1.0, plus + plus_conj), (-1.0, minus + minus_conj)):
+        where = np.searchsorted(edges[1:-1], sign * mid, side="right")
+        np.add.at(masses, where, half * (norms.reshape(-1, _NODES.size) @ _WEIGHTS))
     return BinnedDensity(bin_edges=edges, masses=masses / math.pi)
