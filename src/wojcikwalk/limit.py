@@ -51,8 +51,10 @@ _COEFF_ZERO = 1e-20
 # Relative cancellation threshold for the denominator; see weight().
 _DEGENERATE_RTOL = 1e-12
 
-# match_fixture's tolerance on the phase, the moduli and the relative phase.
-_MATCH_TOL = 1e-9
+# match_fixture's tolerance on the phase, the moduli and the relative phase:
+# rounding only, since w moves by up to about 7 per unit of phi and verify
+# holds a matched case to its closed form at 1e-12.
+_MATCH_TOL = 1e-14
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -95,22 +97,16 @@ class InitialStateAngles:
 class WeightCoefficients:
     """All coefficients of the rational weight for one configuration.
 
-    s0, s1, s2 form the even denominator; the two t-tuples are the numerator
-    coefficients on the x >= 0 and x < 0 branches.
+    s0, s1, s2 form the even denominator; ``pos`` and ``neg`` hold the
+    numerator coefficients (t0, t1, t2, t3) on the x >= 0 and x < 0 branches.
     """
 
     phi: float
     s0: float
     s1: float
     s2: float
-    t0_pos: float
-    t1_pos: float
-    t2_pos: float
-    t3_pos: float
-    t0_neg: float
-    t1_neg: float
-    t2_neg: float
-    t3_neg: float
+    pos: tuple[float, float, float, float]
+    neg: tuple[float, float, float, float]
 
 
 def _zero_outside(x, radius: float, inner: Callable[[np.ndarray], np.ndarray]):
@@ -194,7 +190,7 @@ def weight_coefficients(params: WalkParams) -> WeightCoefficients:
             c2 * cos4,
         )
 
-    coeffs = WeightCoefficients(phi, s0, s1, s2, *numerator(a1, a2, a3), *numerator(b1, -b2, b3))
+    coeffs = WeightCoefficients(phi, s0, s1, s2, numerator(a1, a2, a3), numerator(b1, -b2, b3))
     _validate_on_support(coeffs)
     return coeffs
 
@@ -235,17 +231,13 @@ def weight(x, coeffs: WeightCoefficients):
     if coeffs.s0 > _COEFF_ZERO:
         out[tiny] = 0.0
     elif coeffs.s1 > _COEFF_ZERO:
-        out[tiny] = coeffs.t0_pos / coeffs.s1
+        out[tiny] = coeffs.pos[0] / coeffs.s1
     elif tiny.any():  # only then is t2/s2 needed, and s2 may be 0
         if not coeffs.s2 > 0.0:  # den ~ s2 x^4 <= 0 next to the origin
             raise DegenerateDenominatorError(0.0, coeffs.phi)
-        out[tiny] = coeffs.t2_pos / coeffs.s2
+        out[tiny] = coeffs.pos[2] / coeffs.s2
     xr = xs[~tiny]
-    pos = xr > 0.0
-    t0 = np.where(pos, coeffs.t0_pos, coeffs.t0_neg)
-    t1 = np.where(pos, coeffs.t1_pos, coeffs.t1_neg)
-    t2 = np.where(pos, coeffs.t2_pos, coeffs.t2_neg)
-    t3 = np.where(pos, coeffs.t3_pos, coeffs.t3_neg)
+    t0, t1, t2, t3 = np.where(xr > 0.0, np.array(coeffs.pos)[:, None], np.array(coeffs.neg)[:, None])
     x2 = xr * xr
     num = ((t3 * xr + t2) * xr + t1) * xr * x2 + t0 * x2
     den = (coeffs.s2 * x2 + coeffs.s1) * x2 + coeffs.s0
@@ -360,7 +352,9 @@ def fixture(case_id: str) -> ExampleFixture:
 def match_fixture(params: WalkParams) -> str | None:
     """Case id of the reference configuration matching ``params``, if any.
 
-    Phase and moduli match to within ``_MATCH_TOL``.  The relative phase is
+    Phase and moduli match up to rounding, within ``_MATCH_TOL`` = 1e-14: a
+    configuration 1e-12 away is no reference case, since its weight is off
+    the closed form by more than verify's 1e-12.  The relative phase is
     compared modulo 2*pi and ignored when either modulus vanishes (it is
     unobservable there); a global phase is ignored too.
     """

@@ -67,14 +67,6 @@ class BinnedDensity:
     masses: np.ndarray
 
 
-def _require_interior(k: np.ndarray) -> None:
-    on_axis = (np.abs(np.cos(k)) < _AXIS_TOL) | (np.abs(np.sin(k)) < _AXIS_TOL)
-    if on_axis.any():
-        raise ValueError(
-            f"k={float(k[on_axis][0])!r} is on a coordinate axis; sign factors are undefined there"
-        )
-
-
 def _ballistic_pole(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Abscissa u = x_plus and pole factor f_plus at frequencies with cos k = c.
 
@@ -123,21 +115,25 @@ def weight_from_residues(x, params: WalkParams):
     trip keeps only the absolute accuracy of k, about 1e-16: against
     ``limit.weight`` the relative error is up to about 4e-16 / |x| (3e-13
     at |x| = 1e-3, 4e-7 at 1e-9, 1.2e-5 at 1e-11; phi = 0.3, spinor
-    (0.6, 0, 0.8, 1)).  At |x| below about 1e-12 a frequency lies within
-    1e-12 of pi/2 and x is refused as on a coordinate axis, so the domain
-    served is about 1e-12 < |x| < 1/sqrt(2).
+    (0.6, 0, 0.8, 1)).  Where |cos k| = |x| / sqrt(1 - x^2) is below
+    1e-12 the frequencies are pi/2 to rounding, on a coordinate axis, and
+    x is refused, so the domain served is about 1e-12 < |x| < 1/sqrt(2).
+    (The other axis, sin k = 0, is never reached: every |x| < 1/sqrt(2)
+    maps to k of at least 2.1e-8.)
     """
     xs = np.asarray(x, dtype=float)
     u = np.abs(xs)
     outside = ~((0.0 < u) & (u < SUPPORT_RADIUS))
     if outside.any():
         raise ValueError(f"need 0 < |x| < 1/sqrt(2), got x={float(xs[outside][0])!r}")
-    cos_mag = (u / np.sqrt(1.0 - u * u)).ravel()
+    cos_mag = (u / np.sqrt(1.0 - u * u)).ravel()  # |cos k|
+    on_axis = xs.ravel()[cos_mag < _AXIS_TOL]
+    if on_axis.size:
+        raise ValueError(f"x={float(on_axis[0])!r} maps to k on a coordinate axis; sign factors are undefined there")
     # math.acos, not np.arccos: they differ in the last bit for ~9 % of arguments
     k_first = np.array([math.acos(c) for c in cos_mag.tolist()])
     n = k_first.size
     k = np.concatenate((k_first, math.pi - k_first))  # quadrants I and II
-    _require_interior(k)
     u_k, f = _ballistic_pole(np.cos(k))
     # at x = u the pole factors are conj f in quadrant I and f in quadrant
     # II, at x = -u the reverse, so one norm pass serves both signs: the

@@ -175,6 +175,25 @@ def test_verify_skips_fixture_check_off_reference(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--phi", "5e-10"],  # hadamard_10's phase
+        ["--phi", "0.2500000005"],  # quarterphase_10's phase
+        ["--phi", "0.5", "--init", "0.7071067811865476,1.5707963272948966,0.7071067811865476,0"],  # halfphase_sym
+        ["--phi", "0.25", "--init", "1,0,5e-10,0"],  # quarterphase_10's moduli
+    ],
+)
+def test_verify_skips_fixture_check_next_to_a_reference_case(argv, capsys):
+    # 5e-10 off a reference case, w is off its closed form by far more than
+    # 1e-12 (w moves by up to about 7 per unit of phi): no case may match
+    code, out, _ = run_cli(["verify", *argv, "--steps", "4"], capsys)
+    lines = out.splitlines()
+    assert code == 0, out
+    assert lines[0].startswith("SKIPPED fixture_reduction: ")
+    assert lines[-1] == "OK"
+
+
 def test_verify_json_records_share_one_shape(capsys, monkeypatch):
     # skipped, passed and failed checks: one record shape, and the metadata
     # counts what the records say

@@ -42,10 +42,15 @@ def oracle_configurations():
 
 
 def test_axis_frequencies_are_rejected():
-    # |x| this small feeds k within 1e-12 of pi/2, where the sign factors degenerate
-    for x in (1e-13, -1e-13, np.array([0.3, 1e-13])):
-        with pytest.raises(ValueError, match="coordinate axis"):
-            weight_from_residues(x, WalkParams(0.5, 1.0, 0.0))
+    # |x| this small feeds k within 1e-12 of pi/2, where the sign factors
+    # degenerate: refused where |cos k| = |x| / sqrt(1 - x^2) < 1e-12
+    params = WalkParams(0.5, 1.0, 0.0)
+    for x in (1e-13, -1e-13, np.array([0.3, 1e-13]), 5e-13, -5e-13, np.array([[0.3], [-5e-13]])):
+        with pytest.raises(ValueError, match=r"^x=-?[0-9.e-]+ maps to k on a coordinate axis"):
+            weight_from_residues(x, params)
+    for x in (2e-12, -2e-12, np.array([[2e-12, -0.3], [-2e-12, 0.3]])):
+        got = weight_from_residues(x, params)
+        assert got.shape == np.shape(x) and np.isfinite(got).all(), x
 
 
 def test_residue_weight_near_the_origin_keeps_the_documented_accuracy():
