@@ -30,7 +30,7 @@ SUPPORT_RADIUS = 1.0 / math.sqrt(2.0)
 _PANEL_ORDER = 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 _BUDGET = 200_000  # hard cap on integrand evaluations per integral
-_MAX_PANELS = 8192  # panels per density call: at most 4096 intervals, fewer as they refine
+_MAX_PANELS = 8192  # panels per integrand call, also in spectral: at most 4096 intervals, fewer as they refine
 
 
 @dataclass(frozen=True)
