@@ -9,8 +9,8 @@ The package has four layers:
   origin plus a weighted arcsine-type density, in closed form.
 * ``spectral``: an independent reconstruction of the same density from
   unit-circle pole residues, used as an oracle against ``limit``.
-* ``quadrature``: endpoint-absorbing integration used to normalize the
-  continuous part.
+* ``quadrature``: the two rules that integrate the continuous part,
+  adaptive in x and fixed in k.
 
 The ``wojcikwalk`` console script exposes all of it.
 """

@@ -400,7 +400,7 @@ def _measure(params: walk.WalkParams, tol: float) -> tuple[limit.WeightCoefficie
     """Coefficients, continuous integral and atom at tolerance ``tol``, shared by commands."""
     coeffs = limit.weight_coefficients(params)
     result = integrate_ac(lambda x: limit.ac_density(x, coeffs), tol)
-    return coeffs, result.value, limit.atom_from_integral(result, tol)
+    return coeffs, result.value, limit.atom_from_integral(result.value, tol)
 
 
 def _evolve(config: RunConfig) -> walk.AmplitudeField:

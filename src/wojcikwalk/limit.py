@@ -10,7 +10,8 @@ weak-convergence result:
     w(x) = (t3*x^5 + t2*x^4 + t1*x^3 + t0*x^2) / (s2*x^4 + s1*x^2 + s0)
 
 with one numerator branch for x >= 0 and another for x < 0, and the atom is
-recovered as C = 1 - integral of the continuous part.  The evaluators take a
+recovered as C = 1 - integral of the continuous part, which ``atom_mass``
+takes with the k rule ``quadrature.bin_masses_in_k``.  The evaluators take a
 numpy array of abscissae and return an array of the same shape (a scalar in
 gives a 0-d array out).
 """
@@ -25,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import SUPPORT_RADIUS, QuadratureResult, integrate_ac
+# integrate_ac only for perfbench's tracer, which wraps limit.integrate_ac
+from .quadrature import SUPPORT_RADIUS, abscissa, bin_masses_in_k, integrate_ac
 from .walk import WalkParams, _check_spinor
 
 __all__ = [
@@ -256,13 +258,13 @@ def ac_density(x, coeffs: WeightCoefficients):
     )
 
 
-def atom_from_integral(result: QuadratureResult, tol: float) -> float:
-    """Atom C = 1 - integral of the continuous part, from its quadrature result.
+def atom_from_integral(integral: float, tol: float) -> float:
+    """Atom C = 1 - ``integral``, the integral of the continuous part.
 
     A raw value outside [0, 1] by more than ``tol`` triggers a warning before
     clamping.
     """
-    raw = 1.0 - result.value
+    raw = 1.0 - integral
     if raw < -tol or raw > 1.0 + tol:
         warnings.warn(
             f"atom mass {raw!r} outside [0, 1] beyond tol={tol:g}; clamping",
@@ -272,13 +274,22 @@ def atom_from_integral(result: QuadratureResult, tol: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
-    """Atom C = 1 - integral of the continuous part.
+def _weight_in_k(c: np.ndarray, coeffs: WeightCoefficients) -> np.ndarray:
+    """(w(u), w(-u)) at u = ``abscissa(c)``, the integrand of ``bin_masses_in_k``."""
+    # u that rounds to the support edge steps one ulp inward: about 1e-24 of mass
+    u = np.minimum(abscissa(c), np.nextafter(SUPPORT_RADIUS, 0.0))
+    return weight(np.stack((u, -u)), coeffs)
 
-    The integral is evaluated with the endpoint-absorbing quadrature at
-    tolerance ``tol``; atom_from_integral clamps the result.
+
+def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
+    """Atom C = 1 - integral of the continuous part, clamped by atom_from_integral at ``tol``.
+
+    The integral is the one-bin mass of ``quadrature.bin_masses_in_k``, whose graded
+    cuts resolve the poles of w next to x = 0 near phi in {0, 1/4, 3/4, 1}.
     """
-    return atom_from_integral(integrate_ac(lambda x: ac_density(x, coeffs), tol), tol)
+    if not (0.0 < tol <= 1e-2):
+        raise ValueError(f"tol must lie in (0, 1e-2], got {tol!r}")
+    return atom_from_integral(float(bin_masses_in_k(lambda c: _weight_in_k(c, coeffs), 1)[1][0]), tol)
 
 
 # ---------------------------------------------------------------------------

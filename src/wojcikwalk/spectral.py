@@ -12,11 +12,9 @@ give the density of the rescaled position at x_plus(k) = |cos k| /
 sqrt(1 + cos^2 k) and x_minus(k) = -x_plus(k).  ``weight_from_residues``
 maps x back to its frequencies and sums their residue norms into w(x).
 ``density_via_k_integration`` integrates the residue norms over k, with dk
-as the measure, between the frequencies of the bin edges: it never calls
-the closed-form weight and forms no Jacobian dk/dx, which makes its bin
-masses a genuine cross-check of the integrals of w(x) f_K(x).  Its panels
-are never wider than one fixed k spacing, so its cost grows with the number
-of bins alone.
+as the measure, by ``quadrature.bin_masses_in_k``, the k rule that
+``limit.atom_mass`` also takes: it never calls the closed-form weight, which
+makes its bin masses a genuine cross-check of the integrals of w(x) f_K(x).
 
 Both routes evaluate one residue formula, ``_residue_norms``, which forms
 each pole factor's denominator once for the two residues it feeds.
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _MAX_PANELS, _NODES, _WEIGHTS, SUPPORT_RADIUS
+from .quadrature import SUPPORT_RADIUS, abscissa, bin_masses_in_k
 from .walk import WalkParams, _check_phi, _integer
 
 __all__ = [
@@ -45,18 +43,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _AXIS_TOL = 1e-12
-
-# Widest panel of the k integration: 12 cells of a 10^4-point circle.  The
-# bin edges and graded breakpoints are exact cuts, so a finer grid buys
-# nothing: against 30-digit bin integrals this grid is within 7e-16 and
-# one of spacing 12 * 2 pi / (10^6 + 4), with 78 times the evaluations at
-# 40 bins, within 1.6e-15.
-_PANEL = _NODES.size * (2.0 * math.pi / 10**4)
-
-# Breakpoints 4^-1 ... 4^-23 in u, graded toward u = 0 (k = pi/2): as phi
-# nears 0, 1/4 or 3/4 the density's poles near x = 0 close in on the real
-# axis, and no panel of the graded run is wider than 3 times its distance to 0.
-_GRADED = 4.0 ** -np.arange(1, 24)
 
 
 @dataclass
@@ -73,7 +59,7 @@ def _ballistic_pole(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both depend on k only through |cos k|.  The pole factor of a residue is
     f_plus where branch * cos k * sin k < 0 and conj(f_plus) elsewhere.
     """
-    u = np.abs(c) / np.sqrt(1.0 + c * c)
+    u = abscissa(c)
     one_minus = 1.0 - u * u
     cos_t = 1.0 / np.sqrt(2.0 * one_minus)  # |cos theta| at the pole
     sin_t = np.sqrt((1.0 - 2.0 * u * u) / (2.0 * one_minus))
@@ -145,31 +131,16 @@ def weight_from_residues(x, params: WalkParams):
     return total.reshape(xs.shape)
 
 
-def density_via_k_integration(
-    phi: float,
-    init: WalkParams,
-    n_k: int,
-    bins: int,
-) -> BinnedDensity:
+def density_via_k_integration(phi: float, init: WalkParams, n_k: int, bins: int) -> BinnedDensity:
     """Bin masses of the continuous limit density, integrated in k bin by bin.
 
-    Over quadrant I, 0 < k < pi/2, u = cos k / sqrt(1 + cos^2 k) falls from
-    1/sqrt(2) to 0.  The other three quadrants keep |cos k| and conjugate
-    the pole factor, so the whole circle puts (N(f_plus) + N(conj f_plus)) / pi
-    dk at x = u and at x = -u, one residue norm N per branch.  Every |bin
-    edge|, u = 0 and the breakpoints ``_GRADED`` are pulled back to their
-    frequency k(u) = atan2(sqrt(1 - 2u^2), u), so that between two of them
-    +u and -u each stay in one bin.  These frequencies and a fixed uniform
-    grid of spacing ``_PANEL`` = 12 * 2 pi / 10^4 cut quadrant I into
-    12-point Gauss-Legendre panels: a call evaluates the residue norms at
-    most 2 500 + 12 (bins + 25) frequencies (3 204 at 40 bins), 8 192 panels
-    (``quadrature._MAX_PANELS``) at a time, so a process making one call
-    peaks at 58 MB RSS at 2 * 10^5 bins and 144 MB at 10^6.  A panel's plus
-    and minus masses go to the bins of +u and -u at its midpoint.  The
-    integrand is analytic in k, also at the support edge k = 0, where the
-    density in x has its inverse-square-root blowup.  Against 30-digit bin
-    integrals the masses are within 1e-15 (20, 40, 41 and 71 bins; the six
-    reference cases and 14 other configurations, phi from 1e-8 to 1 - 1e-7).
+    The four quadrants of the circle share |cos k| and conjugate the pole
+    factor in pairs, so the whole circle puts (N(f_plus) + N(conj f_plus))
+    / pi dk at x = u and at x = -u, one residue norm N per branch: the
+    integrand of ``quadrature.bin_masses_in_k``.  One call peaks at 55 MB RSS
+    at 2 * 10^5 bins and 113 MB at 10^6.  Against 30-digit bin integrals the
+    masses are within 1e-15 (20, 40, 41 and 71 bins; the six reference cases
+    and 14 other configurations, phi from 1e-8 to 1 - 1e-7).
 
     ``phi`` obeys the rule of ``WalkParams.phi``, and an ``init`` that
     carries a ``phi`` must carry the same one.  ``n_k`` and ``bins`` are
@@ -182,25 +153,9 @@ def density_via_k_integration(
         raise ValueError(f"phi={phi!r} disagrees with init.phi={init.phi!r}")
     _integer(n_k, "n_k")
     bins = _integer(bins, "bins")
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins!r}")
-    edges = np.linspace(-SUPPORT_RADIUS, SUPPORT_RADIUS, bins + 1)
-    # u = 0 ends quadrant I at k = pi/2 (0 is no bin edge when bins is odd);
-    # the grid starts it at k = 0, as SUPPORT_RADIUS rounds below 1/sqrt(2)
-    # and pulls back to 2.1e-8
-    u = np.concatenate((np.abs(edges), [0.0], _GRADED))
-    k = np.arctan2(np.sqrt(1.0 - 2.0 * u * u), u)
-    cuts = np.sort(np.concatenate((k, np.arange(0.0, math.pi / 2.0, _PANEL))))
-    cuts = cuts[np.append(np.diff(cuts) > 0.0, True)]
-    half = 0.5 * np.diff(cuts)
-    centre = cuts[:-1] + half
-    sums = np.empty((2, centre.size))  # each panel's plus and minus sums
-    for lo in range(0, centre.size, _MAX_PANELS):
-        block = slice(lo, lo + _MAX_PANELS)
-        nodes = (centre[block, None] + half[block, None] * _NODES).ravel()
-        u_k, f = _ballistic_pole(np.cos(nodes))
-        norms = np.add(_residue_norms(u_k, f, phi, init), _residue_norms(u_k, f.conj(), phi, init))
-        sums[:, block] = norms.reshape(2, -1, _NODES.size) @ _WEIGHTS
-    # bins of +u and -u at each midpoint; bincount adds the +u row, then the -u row
-    where = np.searchsorted(edges[1:-1], [[1.0], [-1.0]] * _ballistic_pole(np.cos(centre))[0], side="right")
-    return BinnedDensity(bin_edges=edges, masses=np.bincount(where.ravel(), (half * sums).ravel(), bins) / math.pi)
+
+    def norms(c: np.ndarray) -> np.ndarray:
+        u, f = _ballistic_pole(c)
+        return np.add(_residue_norms(u, f, phi, init), _residue_norms(u, f.conj(), phi, init))
+
+    return BinnedDensity(*bin_masses_in_k(norms, bins))

@@ -30,6 +30,7 @@ PUBLIC_NAMES = [
     "ac_density",
     "atom_from_integral",
     "atom_mass",
+    "bin_masses_in_k",
     "cesaro_average",
     "density_via_k_integration",
     "distribution",

@@ -11,10 +11,10 @@ from mpmath import mp
 from wojcikwalk import (
     EXAMPLE_CASE_IDS,
     SUPPORT_RADIUS,
-    QuadratureConvergenceError,
     WalkParams,
     ac_density,
     atom_mass,
+    bin_masses_in_k,
     density_via_k_integration,
     fixture,
     integrate_ac,
@@ -22,7 +22,7 @@ from wojcikwalk import (
     weight_coefficients,
     weight_from_residues,
 )
-from wojcikwalk import spectral
+from wojcikwalk import limit, quadrature, spectral
 
 S = SUPPORT_RADIUS
 
@@ -265,7 +265,9 @@ def mp_bin_integrals(params, edges):
 
 @pytest.mark.parametrize("bins", [20, 41])
 def test_k_masses_match_30_digit_bin_integrals(bins):
-    # measured at most 7.2e-16 (the two hadamard fixtures, 41 bins)
+    # measured at most 7.2e-16 (the two hadamard fixtures, 41 bins); the
+    # closed form through the same k rule, at most 1.9e-16, so a fault of
+    # the shared rule cannot hide behind the two routes' agreement
     configs = [fixture(case).params for case in EXAMPLE_CASE_IDS]
     configs += [WalkParams(phi, 0.6, 0.8, 1.0) for phi in (1e-6, 0.25 + 1e-5, 0.75 - 3.6e-5)]
     configs.append(WalkParams(0.3, 1.0, 0.0))
@@ -274,6 +276,9 @@ def test_k_masses_match_30_digit_bin_integrals(bins):
             binned = density_via_k_integration(params.phi, params, 10**4, bins)
             want = mp_bin_integrals(params, binned.bin_edges)
             assert np.max(np.abs(binned.masses - want)) <= 2e-15, params
+            coeffs = weight_coefficients(params)
+            closed = bin_masses_in_k(lambda c: limit._weight_in_k(c, coeffs), bins)[1]
+            assert np.max(np.abs(closed - want)) <= 2e-15, params
 
 
 def test_k_masses_do_not_depend_on_n_k():
@@ -323,7 +328,7 @@ def test_k_route_blocks_move_at_most_last_bits(monkeypatch):
     for params in (WalkParams(0.37, 0.6, 0.8, 1.0), fixture("hadamard_10").params):
         for bins in (2 * 10**4, 10**5):
             with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_MAX_PANELS", 10**6)
+                patch.setattr(quadrature, "_MAX_PANELS", 10**6)
                 one_pass = density_via_k_integration(params.phi, params, 10**4, bins).masses
             sizes.clear()
             with monkeypatch.context() as patch:
@@ -337,7 +342,7 @@ def test_k_route_blocks_move_at_most_last_bits(monkeypatch):
 
 
 def test_k_route_memory_is_bounded():
-    # the panels' frequencies and norms exist one block at a time: a 58 MB
+    # the panels' frequencies and norms exist one block at a time: a 55 MB
     # peak at 2 * 10^5 bins, against 251 MB when every panel was evaluated at
     # once (x86-64, Python 3.11, numpy 2.4; importing the package takes 29 MB).
     # On Linux a child's ru_maxrss also counts the RSS of the process that
@@ -451,7 +456,10 @@ def test_exact_symmetries_hold_on_log_graded_phases():
     # for the residue weight and 4.1e-14 for the closed form, all from the
     # conjugation near phi = 1/4, which rounds the phase.  The x grid keeps
     # |x| >= 0.01, where the residue route's x -> k round trip (about
-    # 4e-16 / |x| relative) stays well inside the bound.
+    # 4e-16 / |x| relative) stays well inside the bound.  The closed form's
+    # 40-bin masses, through the residue route's k rule with (w(u), w(-u))
+    # as the integrand, and its atom hold to the residue masses: measured
+    # at most 7.9e-16 per bin and 2.9e-15 on the atom.
     rng = np.random.default_rng(59)
     xs = np.linspace(-S, S, 72)[1:-1]
     phases = graded_phases()
@@ -467,7 +475,11 @@ def test_exact_symmetries_hold_on_log_graded_phases():
         )
         masses = density_via_k_integration(phi, params, 10**4, 40).masses
         residues = weight_from_residues(xs, params)
-        closed = weight(xs, weight_coefficients(params))
+        coeffs = weight_coefficients(params)
+        closed = weight(xs, coeffs)
+        closed_masses = bin_masses_in_k(lambda c: limit._weight_in_k(c, coeffs), 40)[1]
+        assert np.max(np.abs(closed_masses - masses)) <= 1e-13, params
+        assert abs(atom_mass(coeffs) - (1.0 - masses.sum())) <= 1e-13, params
         for image, side in images:
             image_masses = density_via_k_integration(image.phi, image, 10**4, 40).masses
             if side < 0.0:
@@ -479,25 +491,13 @@ def test_exact_symmetries_hold_on_log_graded_phases():
             assert np.max(np.abs(got - closed)) <= 1e-13 * np.max(np.abs(closed)), (params, image)
 
 
-def closed_form_fails(reason):
-    return pytest.mark.xfail(strict=True, raises=(AssertionError, QuadratureConvergenceError), reason=reason)
-
-
-@pytest.mark.parametrize(
-    "phi",
-    [
-        pytest.param(1e-8, marks=closed_form_fails("off by 6.3e-8 without an error")),
-        pytest.param(0.2500001, marks=closed_form_fails("off by 6.0e-8 without an error")),
-        pytest.param(1e-6, marks=closed_form_fails("the quadrature does not converge")),
-        pytest.param(0.749999, marks=closed_form_fails("the quadrature does not converge")),
-        pytest.param(1.0 - 1e-7, marks=closed_form_fails("the quadrature does not converge")),
-        0.3,  # control: 2.2e-16
-    ],
-)
+@pytest.mark.parametrize("phi", [1e-8, 0.2500001, 1e-6, 0.749999, 1.0 - 1e-7, 0.3])
 def test_closed_form_atom_matches_the_residue_masses(phi):
-    # near phi = 0, 1/4, 3/4 and 1 the poles of w sit next to x = 0, and
-    # atom_mass's adaptive quadrature in x misses them; the residue masses
-    # are within 1e-15 of 30-digit integrals there
+    # near phi = 0, 1/4, 3/4 and 1 the poles of w sit next to x = 0, where
+    # an adaptive quadrature in x missed them (off by 6e-8, or no
+    # convergence); the residue masses are within 1e-15 of 30-digit
+    # integrals there.  Measured at most 2.1e-15.
     params = WalkParams(phi, 0.6, 0.8, 1.0)
     want = 1.0 - density_via_k_integration(phi, params, 10**4, 40).masses.sum()
-    assert abs(atom_mass(weight_coefficients(params), 1e-10) - want) <= 1e-10
+    assert abs(atom_mass(weight_coefficients(params), 1e-10) - want) <= 1e-13
+
