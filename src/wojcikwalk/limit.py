@@ -281,15 +281,13 @@ def _weight_in_k(c: np.ndarray, coeffs: WeightCoefficients) -> np.ndarray:
     return weight(np.stack((u, -u)), coeffs)
 
 
-def atom_mass(coeffs: WeightCoefficients, tol: float = 1e-10) -> float:
-    """Atom C = 1 - integral of the continuous part, clamped by atom_from_integral at ``tol``.
+def atom_mass(coeffs: WeightCoefficients) -> float:
+    """Atom C = 1 - integral of the continuous part, clamped by atom_from_integral at tol 1e-10.
 
     The integral is the one-bin mass of ``quadrature.bin_masses_in_k``, whose graded
     cuts resolve the poles of w next to x = 0 near phi in {0, 1/4, 3/4, 1}.
     """
-    if not (0.0 < tol <= 1e-2):
-        raise ValueError(f"tol must lie in (0, 1e-2], got {tol!r}")
-    return atom_from_integral(float(bin_masses_in_k(lambda c: _weight_in_k(c, coeffs), 1)[1][0]), tol)
+    return atom_from_integral(float(bin_masses_in_k(lambda c: _weight_in_k(c, coeffs), 1)[1][0]), 1e-10)
 
 
 # ---------------------------------------------------------------------------

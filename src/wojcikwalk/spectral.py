@@ -99,13 +99,13 @@ def weight_from_residues(x, params: WalkParams):
 
     Near x = 0 the frequencies approach pi/2, and the x -> k -> cos k round
     trip keeps only the absolute accuracy of k, about 1e-16: against
-    ``limit.weight`` the relative error is up to about 4e-16 / |x| (3e-13
-    at |x| = 1e-3, 4e-7 at 1e-9, 1.2e-5 at 1e-11; phi = 0.3, spinor
-    (0.6, 0, 0.8, 1)).  Where |cos k| = |x| / sqrt(1 - x^2) is below
-    1e-12 the frequencies are pi/2 to rounding, on a coordinate axis, and
-    x is refused, so the domain served is about 1e-12 < |x| < 1/sqrt(2).
-    (The other axis, sin k = 0, is never reached: every |x| < 1/sqrt(2)
-    maps to k of at least 2.1e-8.)
+    ``limit.weight`` the relative error is up to about 4e-16 / |x| (1.2e-5
+    at |x| = 1e-11; phi = 0.3, spinor (0.6, 0, 0.8, 1)).  At phi in {0, 1/4,
+    3/4} f also nears a zero of the denominator of ``_residue_norms``: that
+    costs as much again, even from u = |x| itself (2.3e-7 at 1e-9, phi = 0).
+    Where |cos k| = |x| / sqrt(1 - x^2) is below 1e-12, k is pi/2 to
+    rounding, on a coordinate axis, and x is refused (the other axis,
+    sin k = 0, is never reached: every |x| < 1/sqrt(2) maps to k >= 2.1e-8).
     """
     xs = np.asarray(x, dtype=float)
     u = np.abs(xs)

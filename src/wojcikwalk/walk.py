@@ -34,7 +34,7 @@ t = 10^4, and ``cesaro_average`` at T = 5000 takes 16 ms (minimum of
 30 rounds on a shared 2-CPU x86-64 VM with AVX-512, numpy 2.4).  Each
 unnormalized step multiplies the state by sqrt(2); every 64 steps the
 window is multiplied by 2^-32, which is exact, and ``evolve`` applies the
-remaining 2^(-pend/2) of the pend pending steps once at the end.  Walks of
+2^(-pend/2) of the pend = t mod 64 steps since then at the end.  Walks of
 at most 512 steps normalize every step instead (four passes), so every
 output built on a short walk, such as the CLI's default runs and the
 recorded benchmark checksums, keeps the bits it had when every walk did.
@@ -201,10 +201,10 @@ class WalkParams:
 class AmplitudeField:
     """Walk state at a fixed time: amplitudes on the t + 1 sites of t's parity.
 
-    ``amplitudes`` has shape (2, t + 1); row 0 holds left movers, row 1
-    right movers, and column j is lattice site 2j - t, so ``positions()``
-    is -t, -t + 2, ..., t.  The other sites of [-t, t] hold no amplitude
-    after t steps and are not stored.
+    ``amplitudes`` has shape (2, t + 1), and ``time`` reads t off that
+    shape; row 0 holds left movers, row 1 right movers, and column
+    j is lattice site 2j - t, so ``positions()`` is -t, -t + 2, ..., t.
+    The other sites of [-t, t] hold no amplitude after t steps.
 
     A field from ``evolve`` past t = 2047 holds exact zeros at the
     underflowed front of the light cone, where an unwindowed step would
@@ -217,17 +217,14 @@ class AmplitudeField:
     """
 
     amplitudes: np.ndarray
-    time: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
-        expected = (2, self.time + 1)
-        if self.amplitudes.shape != expected:
-            raise ValueError(
-                f"amplitudes shape {self.amplitudes.shape} does not match "
-                f"support of time {self.time} (expected {expected})"
-            )
+        if self.amplitudes.ndim != 2 or len(self.amplitudes) != 2 or self.time < 0:
+            raise ValueError(f"amplitudes must have shape (2, t + 1), t >= 0, got {self.amplitudes.shape}")
+
+    @property
+    def time(self) -> int:
+        return self.amplitudes.shape[1] - 1
 
     def positions(self) -> np.ndarray:
         return np.arange(-self.time, self.time + 1, 2)
@@ -269,10 +266,10 @@ def _populated_rows(
 
     The yield at time tau is ``(left, right, pend)``: two length-(t + 1)
     views whose column j is site 2j - tau (columns past tau hold zeros),
-    and the number of unnormalized steps since the last rescale.  The true
-    amplitudes are the yielded ones times 2^(-pend / 2).  The next step
-    overwrites both views; it costs 2.4 us at t = 2000 and 6.1 us at
-    t = 10^4 (module docstring).
+    and pend, the unnormalized steps since the last rescale (tau mod 64
+    past 512 steps, else 0), so the true amplitudes are the yielded ones
+    times 2^(-pend / 2).  The next step overwrites both views; it costs
+    2.4 us at t = 2000 and 6.1 us at t = 10^4 (module docstring).
 
     The live sites are the window of columns [lo, hi).  A step runs in
     place: L - R goes straight into ``spare``, one column up, L + R
@@ -302,11 +299,11 @@ def _populated_rows(
     At the start of each segment, and once more after the last step,
     before the yield:
 
+    - past 512 steps, the window is multiplied by 2^-32 (not at tau = 0).
     - an edge column leaves the window while both its true amplitudes are
-      below ``_TINY``, and holds exact zeros from then on: three scalar
-      stores zero its left, right and spare entries (the spare entry is a
-      right mover again after the next swap).  At a segment start pend is
-      0 after the exact rescale, so the test is against ``_TINY`` itself.
+      below ``_TINY`` (pend is 0 at a segment start), and holds exact zeros
+      from then on: three scalar stores zero its left, right and spare
+      entries, the spare one a right mover again after the next swap.
     - with a ``target`` site the window is clamped, by integer bounds on
       lo and hi, to the backward light cone of (target, t); columns
       outside the cone cannot reach the target by time t.  Apart from the
@@ -347,11 +344,15 @@ def _populated_rows(
     left, right, spare = row_left[_PAD:], row_right[_PAD:], row_spare[_PAD:]
     left[0], right[0] = params.initial_spinor()
     defect = params.defect_factor()
-    lo, hi, pend = 0, 1, 0
+    lo, hi = 0, 1
     short = t <= _SHORT_WALK
     subtract, add = np.subtract, np.add
     for tau in range(t + 1):
+        pend = 0 if short else tau % _RESCALE_EVERY
         if tau % _RESCALE_EVERY == 0 or tau == t:  # the window's bookkeeping (docstring)
+            if tau and not (short or pend):  # the segment's 64 steps scaled by 2^32
+                left[lo:hi] *= _RESCALE
+                right[lo:hi] *= _RESCALE
             tiny = _TINY * 2.0 ** (pend / 2)  # pend unnormalized steps scale by 2^(pend / 2)
             floor = tau + shift
             if lo < floor:
@@ -388,27 +389,21 @@ def _populated_rows(
         right, spare = spare, right
         now_right, new_right, then_right, then_new = then_right, then_new, now_right, new_right
         hi += 1
-        if not short:
-            pend += 1
-            if pend == _RESCALE_EVERY:
-                left[lo:hi] *= _RESCALE
-                right[lo:hi] *= _RESCALE
-                pend = 0
 
 
 @functools.lru_cache(maxsize=1)
-def _basis_walk(phi: float, t: int) -> tuple[np.ndarray, int]:
-    """Unnormalized rows and pend of the walk from [1, 0] after t steps.
+def _basis_walk(phi: float, t: int) -> np.ndarray:
+    """Unnormalized rows of the walk from [1, 0] after t steps, t mod 64 pending.
 
     The (2, t + 1) array is a read-only copy of the last yield of
     ``_populated_rows``; it holds 2(t + 1) complex amplitudes, about 32 MB
     at ``MAX_STEPS``, for as long as (phi, t) is the last key.
     """
-    for left, right, pend in _populated_rows(WalkParams(phi, 1.0, 0.0), t):
+    for left, right, _ in _populated_rows(WalkParams(phi, 1.0, 0.0), t):
         pass
     rows = np.array((left, right))
     rows.flags.writeable = False
-    return rows, pend
+    return rows
 
 
 def evolve(params: WalkParams, t: int) -> AmplitudeField:
@@ -421,11 +416,11 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     Psi from [1, 0] at the same phase, with the mirror M and the sign
     s = (-1)^(t + 1) of the module docstring.  Psi is the unnormalized
     two-pass walk, exactly rescaled every 64 steps, and its remaining
-    2^-(pend // 2), times 1/sqrt(2) for odd pend, is folded into the two
-    coefficients.  The last basis walk is cached, so the next spinor at the
-    same (phi, t) runs no step; a cached and a fresh basis give the same
-    bits.  Either way the field holds the kernel's t + 1 columns in a new
-    array of its own.
+    2^-(pend // 2) for pend = t mod 64, times 1/sqrt(2) for odd t, is
+    folded into the two coefficients.  The last basis walk is cached, so the
+    next spinor at the same (phi, t) runs no step; a cached and a fresh
+    basis give the same bits.  Either way the field holds the kernel's
+    t + 1 columns in a new array of its own.
 
     Raises
     ------
@@ -438,9 +433,9 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     if t <= _SHORT_WALK:
         for left, right, _ in _populated_rows(params, t):
             pass
-        return AmplitudeField(np.array((left, right)), t)
-    (left, right), pend = _basis_walk(params.phi, t)
-    scale = math.ldexp(_INV_SQRT2 if pend % 2 else 1.0, -(pend // 2))
+        return AmplitudeField(np.array((left, right)))
+    left, right = _basis_walk(params.phi, t)
+    scale = math.ldexp(_INV_SQRT2 if t % 2 else 1.0, -(t % _RESCALE_EVERY // 2))
     alpha, beta = params.initial_spinor() * scale
     if t % 2 == 0:
         beta = -beta
@@ -449,7 +444,7 @@ def evolve(params: WalkParams, t: int) -> AmplitudeField:
     out_left += beta * right[::-1]
     np.multiply(right, alpha, out=out_right)
     out_right -= beta * left[::-1]
-    return AmplitudeField(amps, t)
+    return AmplitudeField(amps)
 
 
 def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
@@ -466,7 +461,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
     if t > _PATH_SUM_LIMIT:
         raise ValueError(f"path enumeration limited to t <= {_PATH_SUM_LIMIT}")
     if t == 0:
-        return AmplitudeField(params.initial_spinor().reshape(2, 1), 0)
+        return AmplitudeField(params.initial_spinor().reshape(2, 1))
     defect = params.defect_factor()
     alpha, beta = params.initial_spinor()
     out = np.zeros((2, t + 1), dtype=np.complex128)
@@ -487,7 +482,7 @@ def path_sum_field(params: WalkParams, t: int) -> AmplitudeField:
             pos += 1 if move else -1
             direction = move
         out[direction, (pos + t) // 2] += amp
-    return AmplitudeField(out, t)
+    return AmplitudeField(out)
 
 
 def distribution(state: AmplitudeField) -> Distribution:

