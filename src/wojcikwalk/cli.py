@@ -589,9 +589,6 @@ def main(argv: list[str] | None = None) -> int:
     config = _build_config(args, parser)
     try:
         return _COMMANDS[config.command][0](config)
-    except (limit.DegenerateDenominatorError, walk.StepLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

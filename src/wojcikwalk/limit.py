@@ -31,7 +31,6 @@ from .quadrature import SUPPORT_RADIUS, abscissa, bin_masses_in_k, integrate_ac
 from .walk import WalkParams, _check_spinor
 
 __all__ = [
-    "DegenerateDenominatorError",
     "InitialStateAngles",
     "WeightCoefficients",
     "konno_density",
@@ -50,28 +49,10 @@ __all__ = [
 # rounded arithmetic (s0 and s1 are sums of O(1) trig products).
 _COEFF_ZERO = 1e-20
 
-# Relative cancellation threshold for the denominator; see weight().
-_DEGENERATE_RTOL = 1e-12
-
 # match_fixture's tolerance on the phase, the moduli and the relative phase:
 # rounding only, since w moves by up to about 7 per unit of phi and verify
 # holds a matched case to its closed form at 1e-12.
 _MATCH_TOL = 1e-14
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """The weight denominator vanished away from the removable x = 0 point, or in its limit.
-
-    Not expected for any defect phase; raised defensively so a silent 0/0
-    can never leak into densities.  The offending abscissa is in ``x``.
-    """
-
-    def __init__(self, x: float, phi: float):
-        super().__init__(
-            f"weight denominator vanished at x={x!r} (defect phase {phi!r})"
-        )
-        self.x = x
-        self.phi = phi
 
 
 @dataclass(frozen=True)
@@ -144,10 +125,17 @@ def weight_coefficients(params: WalkParams) -> WeightCoefficients:
     (b1, b2, b3), so the x < 0 branch is the x >= 0 branch of the mirrored
     spinor at -x.  Going to -x negates t1 and t3, the coefficients of the
     odd powers; they are c2 times a factor and t0, t2 do not read c2, so
-    that branch is the formula at (b1, -b2, b3).  Also scans the
-    denominator over the support as a guard against a degenerate
-    configuration (none is known to exist) and checks that the resulting
-    density is nonnegative, since both properties are assumed downstream.
+    that branch is the formula at (b1, -b2, b3).  Also checks that the
+    density is nonnegative on the support, as is assumed downstream.
+
+    The denominator s2 x^4 + s1 x^2 + s0 is positive for x != 0.  With
+    c = cos(2 pi phi), s0 = 16 sin^4(pi phi) c^2 and s2 = (2c^2 - 1)^2 are
+    squares, and s1 = 8 sin^2(pi phi) (1 - 2c + 2c^3), whose factor is at least
+    1 - 4/(3 sqrt 3) ~ 0.2302 (at c = 1/sqrt 3), so s1 = 0 only at phi = 0,
+    where s2 = 1.  In floats the factor is within 1.1e-15 of its exact value
+    (2e4 phases), every term of den is a product of nonnegative floats, and
+    s2 == 1.0 where s0, s1 <= _COEFF_ZERO, so den >= x^4 >= 1e-320 wherever
+    |x| >= 1e-80, the cutoff of weight's x = 0 limit.  Min s2: 3.7e-33 (1/8).
     """
     phi = params.phi
     a = params.a
@@ -198,10 +186,10 @@ def weight_coefficients(params: WalkParams) -> WeightCoefficients:
 
 
 def _validate_on_support(coeffs: WeightCoefficients) -> None:
-    """Reject degenerate denominators and negative densities early."""
+    """Reject a negative density early: the formula's runtime check."""
     span = SUPPORT_RADIUS - 1e-6
     x = -span + (2.0 * span) * np.arange(401) / 400
-    w = weight(x, coeffs)  # raises DegenerateDenominatorError itself
+    w = weight(x, coeffs)
     negative = np.flatnonzero(w < -1e-12)
     if negative.size:
         i = negative[0]
@@ -217,9 +205,8 @@ def weight(x, coeffs: WeightCoefficients):
     The numerator branch switches at x = 0 (the x >= 0 branch owns the
     boundary point).  When the lower denominator coefficients vanish the
     x = 0 value is the removable limit: t0/s1 if only s0 = 0, t2/s2 if
-    s0 = s1 = 0.  Any point outside the support raises ValueError; a
-    denominator at or below zero raises DegenerateDenominatorError, with
-    x = 0.0 when it is the limit's s2.
+    s0 = s1 = 0.  Evaluates what ``weight_coefficients`` returns, whose
+    denominator is positive off x = 0; raises only ValueError, off the support.
     """
     xs = np.asarray(x, dtype=float)
     outside = np.abs(xs) >= SUPPORT_RADIUS
@@ -227,26 +214,19 @@ def weight(x, coeffs: WeightCoefficients):
         bad = float(xs[outside][0])
         raise ValueError(f"weight is defined on |x| < 1/sqrt(2), got x={bad!r}")
     out = np.empty_like(xs)
-    # |x| below any physically meaningful scale: evaluate the x = 0 limit
-    # instead of risking underflow of x^4 in the denominator.
+    # below 1e-80, x^4 in the denominator may underflow: take the x = 0 limit
     tiny = np.abs(xs) < 1e-80
     if coeffs.s0 > _COEFF_ZERO:
         out[tiny] = 0.0
     elif coeffs.s1 > _COEFF_ZERO:
         out[tiny] = coeffs.pos[0] / coeffs.s1
-    elif tiny.any():  # only then is t2/s2 needed, and s2 may be 0
-        if not coeffs.s2 > 0.0:  # den ~ s2 x^4 <= 0 next to the origin
-            raise DegenerateDenominatorError(0.0, coeffs.phi)
+    elif tiny.any():  # only then is t2/s2 needed
         out[tiny] = coeffs.pos[2] / coeffs.s2
     xr = xs[~tiny]
     t0, t1, t2, t3 = np.where(xr > 0.0, np.array(coeffs.pos)[:, None], np.array(coeffs.neg)[:, None])
     x2 = xr * xr
     num = ((t3 * xr + t2) * xr + t1) * xr * x2 + t0 * x2
     den = (coeffs.s2 * x2 + coeffs.s1) * x2 + coeffs.s0
-    scale = (abs(coeffs.s2) * x2 + abs(coeffs.s1)) * x2 + abs(coeffs.s0)
-    degenerate = (den <= 0.0) | (den < _DEGENERATE_RTOL * scale)
-    if degenerate.any():
-        raise DegenerateDenominatorError(float(xr[degenerate][0]), coeffs.phi)
     out[~tiny] = num / den
     return out
 

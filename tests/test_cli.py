@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wojcikwalk import cli, limit, quadrature, walk
+from wojcikwalk import cli, limit, quadrature, spectral, walk
 
 
 def run_cli(argv, capsys, main=cli.main):
@@ -139,6 +139,44 @@ def test_density_json_metadata(capsys):
     assert abs(meta["C"] + meta["integral"] - meta["total"]) <= 1e-15
 
 
+def atom_config_args(n, seed):
+    """(phi, --init) of n random configurations with phi at least 0.05 from {0, 1/4, 3/4, 1}."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < n:
+        phi = float(rng.uniform(0.0, 1.0))
+        theta = rng.uniform(0.0, math.pi / 2.0)
+        phi1, phi2 = rng.uniform(-3.0, 3.0, 2)
+        if min(abs(phi - c) for c in (0.0, 0.25, 0.75, 1.0)) >= 0.05:
+            configs.append((phi, f"{math.cos(theta)!r},{float(phi1)!r},{math.sin(theta)!r},{float(phi2)!r}"))
+    return configs
+
+
+# Near phi in {0, 1/4, 3/4, 1} the poles of w close in on x = 0 and the CLI's
+# x-space integral misses them: these runs print an atom off by 6.3e-8,
+# 3.1e-7, 3.1e-6 and 6.3e-7, and phi = 1e-6 exits 1 without converging.
+_MISSED_POLES = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the x-space quadrature misses the poles of w next to x = 0"
+)
+
+
+@pytest.mark.parametrize(
+    "phi, init",
+    atom_config_args(20, seed=2027)
+    + [pytest.param(phi, "1,0,0,0", marks=_MISSED_POLES) for phi in (1e-8, 1e-6, 0.2500001, 0.749999, 0.9999999)],
+)
+def test_printed_atom_matches_the_residue_masses(phi, init, capsys):
+    # the printed C against 1 - sum of the residue route's 40 bin masses,
+    # a second derivation of the atom (measured at most 6.7e-16 on the 20
+    # seeded configurations)
+    code, out, err = run_cli(["density", "--bins", "2", "--phi", repr(phi), "--init", init], capsys)
+    assert code == 0, err
+    a, phi1, b, phi2 = (float(v) for v in init.split(","))
+    params = walk.WalkParams(phi, a, b, phi1, phi2)
+    masses = spectral.density_via_k_integration(phi, params, 10**4, 40).masses
+    assert abs(float(csv_body(out)[0]["C"]) - (1.0 - masses.sum())) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -246,18 +284,6 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
         "atom 0.0 != reference 0.8; integral 1.5 != reference 0.2"
     ]
     assert lines[-1] == "1 CHECK(S) FAILED"
-
-
-def test_degenerate_denominator_exits_two(capsys, monkeypatch):
-    def degenerate(params):
-        raise limit.DegenerateDenominatorError(0.25, params.phi)
-
-    monkeypatch.setattr(limit, "weight_coefficients", degenerate)
-    code, out, err = run_cli(["density"], capsys)
-    assert code == 2
-    assert out == ""
-    # 0.5 is the default phase
-    assert err == "error: weight denominator vanished at x=0.25 (defect phase 0.5)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = [
     "AmplitudeField",
     "BinnedDensity",
-    "DegenerateDenominatorError",
     "Distribution",
     "EXAMPLE_CASE_IDS",
     "ExampleFixture",
